@@ -20,7 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .tensor import ConvParams, TensorShape, shape_of
 
 NODE_KINDS = (
@@ -319,7 +319,8 @@ def check_weights(graph: Graph, weights) -> None:
 def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.ndarray]:
     """Run the graph; returns {name: value} for fetch (default: outputs + taps).
 
-    Intermediate buffers are dropped as soon as their last consumer ran.
+    Intermediate buffers are dropped as soon as their last consumer ran. A
+    ``NumericError`` names the node that produced the non-finite value.
     """
     shapes = infer_shapes(graph, shape_of(np.asarray(x)))
     check_weights(graph, weights)
@@ -337,7 +338,15 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
         if spec.kind == "Input":
             out = np.asarray(x, dtype=np.float32)
         else:
-            out = _run_node(spec, [values[r] for r in graph.inputs[name]], weights)
+            ins = [values[r] for r in graph.inputs[name]]
+            try:
+                out = _run_node(spec, ins, weights)
+            except NumericError as exc:
+                # kernels check their outputs, so a non-finite input comes from the Input node
+                culprit = next(
+                    (r for r, v in zip(graph.inputs[name], ins) if not np.isfinite(v).all()), name
+                )
+                raise NumericError(f"node {culprit} ({graph.nodes[culprit].kind}): {exc}") from exc
         if spec.kind != "Argmax":
             got = shape_of(out)
             if got != shapes[name]:

@@ -94,6 +94,8 @@ def read_labelmap_pgm(path) -> np.ndarray:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         raise FormatError("non-numeric PGM header fields") from None
+    if w < 1 or h < 1:
+        raise FormatError(f"bad PGM dimensions {w}x{h}")
     if maxval != 255:
         raise FormatError(f"unsupported bit depth: maxval {maxval}, expected 255")
     need = h * w

@@ -7,6 +7,12 @@ and the cost model:
   floor-left / ceil-right.
 * Values are stored float32; reductions (conv, depthwise, pooling, bilinear
   blending) accumulate in float64 and cast once at the end.
+* Convolution (depthwise, pointwise and kxk), bilinear resize and affine work
+  over row bands of their output: each band's float64 buffers hold about
+  ``_BAND_BYTES``, are reused from band to band, and are rounded straight into
+  the preallocated float32 output. Every output element goes through the same
+  IEEE operations, in the same order, as whole-array evaluation, so the
+  results are bit-identical to it.
 * Bilinear resize defaults to corner-aligned sampling
   (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
   ``mode="half"`` selects half-pixel centers.
@@ -24,6 +30,14 @@ from .tensor import ConvParams, as_feature_map, require_finite
 
 VALID_RESIZE_MODES = ("corner", "half")
 
+# float64 bytes per band buffer: small enough to stay in cache
+_BAND_BYTES = 1 << 20
+
+
+def _band_rows(n_rows: int, row_elems: int) -> int:
+    """Rows per band for buffers of ``row_elems`` float64 values per row."""
+    return max(1, min(n_rows, _BAND_BYTES // (8 * row_elems)))
+
 
 def same_pad(size: int, kernel: int, stride: int, dilation: int) -> tuple[int, int, int]:
     """Return (out_size, pad_before, pad_after) for SAME padding."""
@@ -38,17 +52,17 @@ def _pad_input(x: np.ndarray, params: ConvParams) -> tuple[np.ndarray, int, int]
     h, w, _ = x.shape
     out_h, pad_t, pad_b = same_pad(h, params.kernel_h, params.stride, params.dilation)
     out_w, pad_l, pad_r = same_pad(w, params.kernel_w, params.stride, params.dilation)
+    if pad_t == pad_b == pad_l == pad_r == 0:
+        return x, out_h, out_w
     padded = np.pad(x, ((pad_t, pad_b), (pad_l, pad_r), (0, 0)))
     return padded, out_h, out_w
 
 
-def _gather_windows(padded: np.ndarray, out_h: int, out_w: int, params: ConvParams) -> np.ndarray:
-    """Rearrange to (out_h, out_w, kernel_h, kernel_w, c), float64."""
+def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: ConvParams) -> np.ndarray:
+    """The (n, out_w, c) samples that kernel column kj reads for n output rows,
+    the first of which reads padded row ``top``."""
     s, d = params.stride, params.dilation
-    rows = np.arange(out_h)[:, None] * s + np.arange(params.kernel_h)[None, :] * d
-    cols = np.arange(out_w)[:, None] * s + np.arange(params.kernel_w)[None, :] * d
-    win = padded.astype(np.float64)[rows][:, :, cols]  # (oh, kh, ow, kw, c)
-    return win.transpose(0, 2, 1, 3, 4)
+    return padded[top: top + (n - 1) * s + 1: s, kj * d: kj * d + (out_w - 1) * s + 1: s]
 
 
 def conv2d(x, kernels, bias, params: ConvParams) -> np.ndarray:
@@ -72,58 +86,77 @@ def conv2d(x, kernels, bias, params: ConvParams) -> np.ndarray:
             raise ShapeError(f"conv2d: bias length {bias.shape} != out_c {params.out_c}")
 
     if params.is_depthwise:
-        out64 = _depthwise_f64(x, kernels.reshape(params.kernel_h, params.kernel_w, params.out_c), params)
-    elif params.kernel_h == params.kernel_w == 1:
-        out64 = _pointwise_f64(x, kernels, params)
+        kernels = kernels.reshape(params.kernel_h, params.kernel_w, params.out_c)
+        out = _depthwise(x, kernels, bias, params)
     else:
-        out64 = _general_conv_f64(x, kernels, params)
-
-    if bias is not None:
-        out64 = out64 + bias.astype(np.float64)
-    return require_finite(out64.astype(np.float32), "conv2d")
+        out = _conv_gemm(x, kernels, bias, params)
+    return require_finite(out, "conv2d")
 
 
-def _pointwise_f64(x, kernels, params: ConvParams) -> np.ndarray:
-    sub = x[:: params.stride, :: params.stride, :].astype(np.float64)
-    oh, ow, _ = sub.shape
-    flat = sub.reshape(oh * ow, params.in_c)
-    out = np.empty((oh * ow, params.out_c), dtype=np.float64)
+def _conv_gemm(x, kernels, bias, params: ConvParams) -> np.ndarray:
+    """Per band: the im2col rows as (n, out_w, kernel_h, kernel_w, in_c)
+    float64, then one GEMM per group into the accumulator."""
+    kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
+    padded, out_h, out_w = _pad_input(x, params)
     ig = params.in_c // params.groups
     og = params.out_c // params.groups
-    for g in range(params.groups):
-        w = kernels[0, 0, :, g * og:(g + 1) * og].astype(np.float64)
-        out[:, g * og:(g + 1) * og] = flat[:, g * ig:(g + 1) * ig] @ w
-    return out.reshape(oh, ow, params.out_c)
+    taps = kh * kw * ig
+    w64 = [
+        kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(taps, og)
+        for g in range(params.groups)
+    ]
+    b64 = None if bias is None else bias.astype(np.float64)
+    out = np.empty((out_h, out_w, params.out_c), dtype=np.float32)
+    step = _band_rows(out_h, out_w * max(kh * kw * params.in_c, params.out_c))
+    win_buf = np.empty((step, out_w, kh, kw, params.in_c))
+    acc_buf = np.empty((step * out_w, params.out_c))
+    for r0 in range(0, out_h, step):
+        n = min(step, out_h - r0)
+        win, acc = win_buf[:n], acc_buf[:n * out_w]
+        for ki in range(kh):
+            for kj in range(kw):
+                win[:, :, ki, kj] = _tap(padded, r0 * s + ki * d, n, out_w, kj, params)
+        for g in range(params.groups):
+            block = win[:, :, :, :, g * ig:(g + 1) * ig].reshape(n * out_w, taps)
+            np.matmul(block, w64[g], out=acc[:, g * og:(g + 1) * og])
+        if b64 is not None:
+            acc += b64
+        out[r0:r0 + n] = acc.reshape(n, out_w, params.out_c)
+    return out
 
 
-def _general_conv_f64(x, kernels, params: ConvParams) -> np.ndarray:
-    padded, out_h, out_w = _pad_input(x, params)
-    win = _gather_windows(padded, out_h, out_w, params)
-    ig = params.in_c // params.groups
-    og = params.out_c // params.groups
-    taps = params.kernel_h * params.kernel_w * ig
-    out = np.empty((out_h * out_w, params.out_c), dtype=np.float64)
-    for g in range(params.groups):
-        block = win[:, :, :, :, g * ig:(g + 1) * ig].reshape(out_h * out_w, taps)
-        w = kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(taps, og)
-        out[:, g * og:(g + 1) * og] = block @ w
-    return out.reshape(out_h, out_w, params.out_c)
-
-
-def _depthwise_f64(x, kernels, params: ConvParams) -> np.ndarray:
-    padded, out_h, out_w = _pad_input(x, params)
-    padded = padded.astype(np.float64)
-    s, d = params.stride, params.dilation
-    out = np.zeros((out_h, out_w, params.out_c), dtype=np.float64)
+def _depthwise(x, kernels, bias, params: ConvParams) -> np.ndarray:
+    """Per band: a zero-padded float64 copy of the input rows the band reads,
+    then every tap in (ki, kj) order added onto a zero accumulator."""
+    h, w, c = x.shape
+    kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
+    out_h, pad_t, _ = same_pad(h, kh, s, d)
+    out_w, pad_l, pad_r = same_pad(w, kw, s, d)
     k64 = kernels.astype(np.float64)
-    for ki in range(params.kernel_h):
-        for kj in range(params.kernel_w):
-            patch = padded[
-                ki * d: ki * d + (out_h - 1) * s + 1: s,
-                kj * d: kj * d + (out_w - 1) * s + 1: s,
-                :,
-            ]
-            out += patch * k64[ki, kj, :]
+    b64 = None if bias is None else bias.astype(np.float64)
+    out = np.empty((out_h, out_w, c), dtype=np.float32)
+    step = _band_rows(out_h, out_w * c)
+    span = (kh - 1) * d + 1
+    rows = np.zeros(((step - 1) * s + span, pad_l + w + pad_r, c))  # pad columns stay 0
+    acc_buf = np.empty((step, out_w, c))
+    tmp_buf = np.empty((step, out_w, c))
+    for r0 in range(0, out_h, step):
+        n = min(step, out_h - r0)
+        acc, tmp = acc_buf[:n], tmp_buf[:n]
+        first = r0 * s - pad_t  # input row of the band's first padded row
+        band = rows[:(n - 1) * s + span]
+        lo, hi = max(first, 0), min(first + len(band), h)
+        band[:lo - first] = 0.0
+        band[lo - first:hi - first, pad_l:pad_l + w] = x[lo:hi]
+        band[hi - first:] = 0.0
+        acc.fill(0.0)
+        for ki in range(kh):
+            for kj in range(kw):
+                np.multiply(_tap(band, ki * d, n, out_w, kj, params), k64[ki, kj], out=tmp)
+                acc += tmp
+        if b64 is not None:
+            acc += b64
+        out[r0:r0 + n] = acc
     return out
 
 
@@ -142,8 +175,7 @@ def depthwise_conv2d(x, kernels, params: ConvParams) -> np.ndarray:
             f"depthwise_conv2d: kernel shape {kernels.shape} != "
             f"{(params.kernel_h, params.kernel_w, params.in_c)}"
         )
-    out = _depthwise_f64(x, kernels, params)
-    return require_finite(out.astype(np.float32), "depthwise_conv2d")
+    return require_finite(_depthwise(x, kernels, None, params), "depthwise_conv2d")
 
 
 def avg_pool_grid(x, grid_h: int, grid_w: int) -> np.ndarray:
@@ -186,7 +218,7 @@ def _source_coords(n_out: int, n_in: int, mode: str) -> np.ndarray:
 def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarray:
     """Bilinear interpolation of the four nearest source samples."""
     x = as_feature_map(x)
-    h, w, _ = x.shape
+    h, w, c = x.shape
     if mode not in VALID_RESIZE_MODES:
         raise ConfigError(f"resize mode must be one of {VALID_RESIZE_MODES}, got {mode!r}")
     if out_h < 1 or out_w < 1:
@@ -200,12 +232,31 @@ def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarr
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
     fr = (src_r - r0)[:, None, None]
-    fc = (src_c - c0)[None, :, None]
-    x64 = x.astype(np.float64)
-    top = x64[r0][:, c0] * (1.0 - fc) + x64[r0][:, c1] * fc
-    bot = x64[r1][:, c0] * (1.0 - fc) + x64[r1][:, c1] * fc
-    out = top * (1.0 - fr) + bot * fr
-    return require_finite(out.astype(np.float32), "bilinear_resize")
+    fc = (src_c - c0)[:, None]
+    fr0, fc0 = 1.0 - fr, 1.0 - fc
+    # column pass once over the source rows, then a row blend per output band
+    cols = np.empty((h, out_w, c))
+    step = _band_rows(h, out_w * c)
+    tmp_buf = np.empty((step, out_w, c))
+    for a in range(0, h, step):
+        band, tmp = cols[a:a + step], tmp_buf[:min(step, h - a)]
+        np.multiply(x[a:a + step, c0], fc0, out=band)
+        np.multiply(x[a:a + step, c1], fc, out=tmp)
+        band += tmp
+    out = np.empty((out_h, out_w, c), dtype=np.float32)
+    step = _band_rows(out_h, out_w * c)
+    top_buf = np.empty((step, out_w, c))
+    bot_buf = np.empty((step, out_w, c))
+    for a in range(0, out_h, step):
+        b = min(a + step, out_h)
+        top, bot = top_buf[:b - a], bot_buf[:b - a]
+        np.take(cols, r0[a:b], axis=0, out=top, mode="clip")
+        top *= fr0[a:b]
+        np.take(cols, r1[a:b], axis=0, out=bot, mode="clip")
+        bot *= fr[a:b]
+        top += bot
+        out[a:b] = top
+    return require_finite(out, "bilinear_resize")
 
 
 def concat_channels(xs) -> np.ndarray:
@@ -244,8 +295,17 @@ def affine_channels(x, scale, bias) -> np.ndarray:
         raise ShapeError(
             f"affine_channels: scale/bias shapes {scale.shape}/{bias.shape} != ({c},)"
         )
-    out = x.astype(np.float64) * scale.astype(np.float64) + bias.astype(np.float64)
-    return require_finite(out.astype(np.float32), "affine_channels")
+    s64, b64 = scale.astype(np.float64), bias.astype(np.float64)
+    h, w, _ = x.shape
+    out = np.empty(x.shape, dtype=np.float32)
+    step = _band_rows(h, w * c)
+    tmp_buf = np.empty((step, w, c))
+    for r0 in range(0, h, step):
+        tmp = tmp_buf[:min(step, h - r0)]
+        np.multiply(x[r0:r0 + step], s64, out=tmp)
+        tmp += b64
+        out[r0:r0 + step] = tmp
+    return require_finite(out, "affine_channels")
 
 
 def argmax_channels(x) -> np.ndarray:

@@ -128,7 +128,13 @@ def load_weights(path) -> WeightStore:
     store = WeightStore()
     for i in range(count):
         name_len = r.u32(f"entry {i} name length")
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        raw = r.take(name_len, f"entry {i} name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"entry {i} name is not valid UTF-8 at byte {r.pos - name_len + exc.start}"
+            ) from None
         if name in store:
             raise ConfigError(f"duplicate weight entry {name!r} at byte {r.pos}")
         rank = r.u32(f"entry {i} rank")

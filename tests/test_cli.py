@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,41 @@ def test_run_rejects_wrong_weight_shapes(capsys, tiny_conf, tmp_path):
     )
     assert code == 1
     assert "shape" in err or "weight" in err
+
+
+def test_run_non_utf8_weight_name_exit_1(capsys, tiny_conf, tmp_path):
+    weights_path = tmp_path / "w.mosw"
+    name = b"stem\xff"
+    entry = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1) + bytes(4)
+    weights_path.write_bytes(b"MOSW" + struct.pack("<II", 1, 1) + entry)
+    code, _, err = run_cli(
+        capsys, "run", tiny_conf, "--weights", str(weights_path),
+        "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    assert "entry 0 name is not valid UTF-8 at byte 20" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("role,value", [("kernel", np.inf), ("scale", 3e38)])
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_run_non_finite_names_node_exit_1(capsys, tiny_conf, tmp_path, role, value):
+    # an inf conv weight, or a BN scale that overflows float32, in the first such node
+    store = init_weights(build_model(parse_config(TINY)), 3)
+    key = next(k for k in store.keys() if k.endswith("/" + role))
+    store[key] = np.full(store[key].shape, value, dtype=np.float32)
+    weights_path = tmp_path / "w.mosw"
+    save_weights(store, weights_path)
+    code, _, err = run_cli(
+        capsys, "run", tiny_conf, "--weights", str(weights_path), "--seed", "1",
+        "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    node = key.rsplit("/", 1)[0]
+    kind = "Conv" if role == "kernel" else "Affine"
+    assert f"error: node {node} ({kind}): " in err and "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_selftest_reports_known_gaps(capsys):

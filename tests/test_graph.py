@@ -1,13 +1,23 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mosaicseg import kernels
-from mosaicseg.errors import ConfigError, ShapeError
+from mosaicseg.arch import ade20k_config, build_model
+from mosaicseg.errors import ConfigError, NumericError, ShapeError
 from mosaicseg.graph import (
     Graph, NodeSpec, describe_lines, execute, infer_shapes, topo_order,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
-from mosaicseg.weights import WeightStore
+from mosaicseg.weights import WeightStore, init_weights
+
+# SHA-256 of the float32 logits of ade20k_config() at 256x256 with
+# init_weights(model, 1) and a Philox(1) input, recorded with the whole-array
+# kernels of commit d19ce8d. Refactors of the executor or the kernels must keep
+# it; a different BLAS build may round its GEMMs differently.
+ADE20K_256_LOGITS_SHA256 = "01b17bfab2998e8db977e18e005b3694c3a4b4a9dd233ab213628802803548b0"
 
 
 def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, groups=1, bias=False):
@@ -245,6 +255,54 @@ def test_execute_default_fetch_returns_outputs_and_taps(rng):
     table = infer_shapes(g, TensorShape(4, 4, 2))
     for name, value in out.items():
         assert value.shape == (table[name].h, table[name].w, table[name].c)
+
+
+def test_ade20k_logits_golden_digest():
+    model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
+    store = init_weights(model, 1)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
+    x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
+    logits = execute(model.graph, store, x, fetch=[model.logits])[model.logits]
+    assert logits.shape == (256, 256, 32) and logits.dtype == np.float32
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == ADE20K_256_LOGITS_SHA256
+
+
+def conv_affine_graph(rng):
+    """input -> conv c (3x3, 3->4) -> affine a, with finite weights."""
+    g = Graph()
+    c = g.add_node(conv_spec("c", 3, 4), (g.source,))
+    a = g.add_node(NodeSpec("a", "Affine", {"channels": 4}), (c,))
+    g.outputs = [a]
+    store = WeightStore()
+    store["c/kernel"] = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+    store["a/scale"] = np.ones(4, dtype=np.float32)
+    store["a/bias"] = np.zeros(4, dtype=np.float32)
+    return g, store
+
+
+def test_execute_nan_input_names_input_node(rng):
+    g, store = conv_affine_graph(rng)
+    x = rng.standard_normal((5, 5, 3)).astype(np.float32)
+    x[2, 3, 1] = np.nan
+    with pytest.raises(NumericError, match=r"^node input \(Input\): "):
+        execute(g, store, x)
+
+
+def test_execute_inf_weight_names_conv_node(rng):
+    g, store = conv_affine_graph(rng)
+    store["c/kernel"][1, 1, 0, 2] = np.inf
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
+        execute(g, store, rng.standard_normal((5, 5, 3)).astype(np.float32))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_execute_float32_overflow_names_affine_node(rng):
+    # finite in float64, beyond float32 range once rounded
+    g, store = conv_affine_graph(rng)
+    store["a/scale"] = np.full(4, 3e38, dtype=np.float32)
+    x = np.full((5, 5, 3), 10.0, dtype=np.float32)
+    with pytest.raises(NumericError, match=r"^node a \(Affine\): affine_channels produced non-finite"):
+        execute(g, store, x)
 
 
 def test_describe_lines_cover_every_node():

@@ -415,3 +415,97 @@ def test_kernels_deterministic(rng):
     r1 = kernels.bilinear_resize(x, 23, 5)
     r2 = kernels.bilinear_resize(x, 23, 5)
     assert np.array_equal(r1.view(np.int32), r2.view(np.int32))
+
+
+# --- banded kernels: bit-identical to whole-array evaluation -------------------
+#
+# Each map spans at least three row bands with a partial last one, and holds
+# signed zeros, so a change of operation order (or of the zero start of the
+# depthwise accumulator) shows up as a differing bit.
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint32), want.view(np.uint32)))
+
+
+def assert_spans_bands(n_rows, row_elems):
+    step = kernels._band_rows(n_rows, row_elems)
+    assert n_rows > 2 * step and n_rows % step, (n_rows, step)
+
+
+def signed_zero_map(rng, h, w, c):
+    x = rand_map(rng, h, w, c)
+    pick = rng.random(x.shape)
+    x[pick < 0.1] = 0.0
+    x[pick > 0.9] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("kernel,stride,dilation", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 1, 4), (5, 2, 2)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_depthwise_bands_match_whole_array(rng, kernel, stride, dilation, with_bias):
+    c = 96
+    x = signed_zero_map(rng, 100, 64 * stride, c)
+    params = ConvParams(kernel, kernel, stride, dilation, c, c, c)
+    kern = rng.standard_normal((kernel, kernel, 1, c)).astype(np.float32)
+    kern[rng.random(kern.shape) < 0.2] = -0.0
+    bias = rng.standard_normal(c).astype(np.float32) if with_bias else None
+    assert_spans_bands(100, 64 * c)
+    before = x.copy()
+    if with_bias:
+        got = kernels.conv2d(x, kern, bias, params)
+    else:
+        got = kernels.depthwise_conv2d(x, kern, params)
+    assert same_bits(got, oracles.depthwise_whole(x, kern, bias, params))
+    assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("groups,stride,with_bias", [(1, 1, True), (2, 2, True), (4, 1, False), (4, 2, True)])
+def test_pointwise_bands_match_whole_array(rng, groups, stride, with_bias):
+    x = signed_zero_map(rng, 100 * stride, 64 * stride, 48)
+    params = ConvParams(1, 1, stride, 1, groups, 48, 96)
+    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
+    bias = rng.standard_normal(96).astype(np.float32) if with_bias else None
+    assert_spans_bands(100, 64 * 96)
+    before = x.copy()
+    got = kernels.conv2d(x, kern, bias, params)
+    assert same_bits(got, oracles.conv_whole(x, kern, bias, params))
+    assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("groups,stride", [(1, 2), (2, 1)])
+def test_kxk_conv_bands_match_whole_array(rng, groups, stride):
+    x = signed_zero_map(rng, 100 * stride, 64 * stride, 8)
+    params = ConvParams(3, 3, stride, 1, groups, 8, 16)
+    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
+    bias = rng.standard_normal(16).astype(np.float32)
+    assert_spans_bands(100, 64 * 3 * 3 * 8)
+    before = x.copy()
+    got = kernels.conv2d(x, kern, bias, params)
+    assert same_bits(got, oracles.conv_whole(x, kern, bias, params))
+    assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("mode", ["corner", "half"])
+@pytest.mark.parametrize("h,w,oh,ow", [(61, 40, 150, 100), (250, 200, 101, 50)])
+def test_resize_bands_match_whole_array(rng, mode, h, w, oh, ow):
+    x = signed_zero_map(rng, h, w, 64)
+    assert_spans_bands(h, ow * 64)  # the column pass runs over source rows
+    assert_spans_bands(oh, ow * 64)
+    before = x.copy()
+    got = kernels.bilinear_resize(x, oh, ow, mode)
+    assert same_bits(got, oracles.resize_whole(x, oh, ow, mode))
+    assert same_bits(x, before)
+
+
+def test_affine_bands_match_whole_array(rng):
+    x = signed_zero_map(rng, 100, 64, 96)
+    scale = rng.standard_normal(96).astype(np.float32)
+    scale[::7] = -0.0
+    bias = rng.standard_normal(96).astype(np.float32)
+    bias[::5] = 0.0
+    assert_spans_bands(100, 64 * 96)
+    before = x.copy()
+    got = kernels.affine_channels(x, scale, bias)
+    assert same_bits(got, oracles.affine_whole(x, scale, bias))
+    assert same_bits(x, before)

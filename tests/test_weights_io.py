@@ -125,6 +125,19 @@ def test_load_duplicate_entries_rejected(tmp_path):
         load_weights(path)
 
 
+def test_load_rejects_non_utf8_name(tmp_path):
+    import struct
+    path = tmp_path / "latin1.mosw"
+    payload = np.ones(2, dtype="<f4").tobytes()
+    entries = b""
+    for name in (b"ok", b"bad\xff"):
+        entries += struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + payload
+    path.write_bytes(b"MOSW" + struct.pack("<II", 1, 2) + entries)
+    # header 12 bytes, entry 0 is 22 bytes, entry 1's name starts at 38
+    with pytest.raises(FormatError, match="entry 1 name is not valid UTF-8 at byte 41"):
+        load_weights(path)
+
+
 def test_validate_flags_missing_and_orphans():
     model = small_model()
     store = init_weights(model, 1)
@@ -204,3 +217,11 @@ def test_pgm_label_round_trip(tmp_path, rng):
 def test_pgm_rejects_labels_over_255(tmp_path):
     with pytest.raises(FormatError, match="255"):
         write_labelmap_pgm(np.array([[0, 256]]), tmp_path / "labels.pgm")
+
+
+@pytest.mark.parametrize("dims", [b"0 5", b"-1 0"])
+def test_pgm_rejects_bad_dimensions(tmp_path, dims):
+    path = tmp_path / "labels.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n")
+    with pytest.raises(FormatError, match="bad PGM dimensions"):
+        read_labelmap_pgm(path)
