@@ -34,11 +34,11 @@ from .cost import (
     count_node,
 )
 from .errors import ConfigError, FormatError, MosaicError, NumericError, ShapeError
-from .graph import Graph, NodeSpec, execute, infer_shapes, topo_order
+from .graph import Graph, NodeSpec, check_weights, execute, infer_shapes, topo_order
 from .images import read_image_ppm, read_labelmap_pgm, write_image_ppm, write_labelmap_pgm
 from .metrics import compute_miou
 from .tensor import ConvParams, TensorShape
-from .weights import WeightStore, init_weights, load_weights, save_weights, validate_weights
+from .weights import WeightStore, init_weights, load_weights, save_weights
 
 __version__ = "0.1.0"
 
@@ -49,9 +49,9 @@ __all__ = [
     "DEFAULT_POLICY", "INCLUSIVE_POLICY", "CostPolicy", "CostReport",
     "ablation_report", "count_config", "count_model", "count_node",
     "ConfigError", "FormatError", "MosaicError", "NumericError", "ShapeError",
-    "Graph", "NodeSpec", "execute", "infer_shapes", "topo_order",
+    "Graph", "NodeSpec", "check_weights", "execute", "infer_shapes", "topo_order",
     "read_image_ppm", "read_labelmap_pgm", "write_image_ppm", "write_labelmap_pgm",
     "compute_miou", "ConvParams", "TensorShape",
-    "WeightStore", "init_weights", "load_weights", "save_weights", "validate_weights",
+    "WeightStore", "init_weights", "load_weights", "save_weights",
     "__version__",
 ]

@@ -385,13 +385,6 @@ def build_model(cfg: ModelConfig) -> Model:
 
 # --- flat key=value config files -------------------------------------------
 
-_CONFIG_KEYS = (
-    "m", "num_classes", "input_h", "input_w", "enc_filters", "dec_filters",
-    "pyramid_bins", "use_group_conv", "group_kernels", "skips",
-    "aggregation_width_mode", "dilation_rows",
-)
-
-
 def _parse_int(key, value):
     try:
         return int(value)
@@ -412,6 +405,35 @@ def _parse_bool(key, value):
     raise ConfigError(f"config key {key}: expected true/false, got {value!r}")
 
 
+def _parse_skips(key, value):
+    return tuple(parse_skip(t) for t in value.split(",") if t.strip())
+
+
+def _join(values):
+    return ",".join(str(v) for v in values)
+
+
+_INT = (_parse_int, str)
+_INTS = (_parse_int_list, _join)
+
+# key: (section, parse(key, text), format(value)), in dump order; each key
+# names the field of its section's config class
+_CONFIG_FIELDS = {
+    "m": ("model", *_INT),
+    "num_classes": ("model", *_INT),
+    "input_h": ("model", *_INT),
+    "input_w": ("model", *_INT),
+    "enc_filters": ("encoder", *_INT),
+    "dec_filters": ("decoder", *_INT),
+    "pyramid_bins": ("encoder", *_INTS),
+    "use_group_conv": ("encoder", _parse_bool, lambda v: "true" if v else "false"),
+    "group_kernels": ("encoder", *_INTS),
+    "skips": ("decoder", _parse_skips, lambda skips: _join(s.token() for s in skips)),
+    "aggregation_width_mode": ("model", lambda key, value: value, str),
+    "dilation_rows": ("model", *_INTS),
+}
+
+
 def parse_config(text: str) -> ModelConfig:
     """Parse flat key=value lines; omitted keys take the default configuration,
     unknown keys are rejected. '#' starts a comment."""
@@ -423,69 +445,40 @@ def parse_config(text: str) -> ModelConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value
-
-    enc = EncoderConfig(
-        pyramid_bins=_parse_int_list("pyramid_bins", raw["pyramid_bins"])
-        if "pyramid_bins" in raw else EncoderConfig.pyramid_bins,
-        use_group_conv=_parse_bool("use_group_conv", raw["use_group_conv"])
-        if "use_group_conv" in raw else EncoderConfig.use_group_conv,
-        group_kernels=_parse_int_list("group_kernels", raw["group_kernels"])
-        if "group_kernels" in raw else EncoderConfig.group_kernels,
-        enc_filters=_parse_int("enc_filters", raw["enc_filters"])
-        if "enc_filters" in raw else EncoderConfig.enc_filters,
-    )
-    if "skips" in raw:
-        tokens = [t for t in raw["skips"].split(",") if t.strip()]
-        skips = tuple(parse_skip(t) for t in tokens)
-    else:
-        skips = DecoderConfig.skips
-    dec = DecoderConfig(
-        skips=skips,
-        dec_filters=_parse_int("dec_filters", raw["dec_filters"])
-        if "dec_filters" in raw else DecoderConfig.dec_filters,
-    )
+    fields: dict[str, dict] = {"model": {}, "encoder": {}, "decoder": {}}
+    for key, value in raw.items():
+        section, parse, _ = _CONFIG_FIELDS[key]
+        fields[section][key] = parse(key, value)
     cfg = ModelConfig(
-        m=_parse_int("m", raw["m"]) if "m" in raw else ModelConfig.m,
-        num_classes=_parse_int("num_classes", raw["num_classes"])
-        if "num_classes" in raw else ModelConfig.num_classes,
-        input_h=_parse_int("input_h", raw["input_h"]) if "input_h" in raw else ModelConfig.input_h,
-        input_w=_parse_int("input_w", raw["input_w"]) if "input_w" in raw else ModelConfig.input_w,
-        encoder=enc,
-        decoder=dec,
-        aggregation_width_mode=raw.get("aggregation_width_mode", ModelConfig.aggregation_width_mode),
-        dilation_rows=_parse_int_list("dilation_rows", raw["dilation_rows"])
-        if "dilation_rows" in raw else DEFAULT_DILATION_ROWS,
+        encoder=EncoderConfig(**fields["encoder"]),
+        decoder=DecoderConfig(**fields["decoder"]),
+        **fields["model"],
     )
     cfg.validate()
     return cfg
 
 
 def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not valid UTF-8 at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def dump_config(cfg: ModelConfig) -> str:
-    lines = [
-        f"m={cfg.m}",
-        f"num_classes={cfg.num_classes}",
-        f"input_h={cfg.input_h}",
-        f"input_w={cfg.input_w}",
-        f"enc_filters={cfg.encoder.enc_filters}",
-        f"dec_filters={cfg.decoder.dec_filters}",
-        "pyramid_bins=" + ",".join(str(g) for g in cfg.encoder.pyramid_bins),
-        f"use_group_conv={'true' if cfg.encoder.use_group_conv else 'false'}",
-        "group_kernels=" + ",".join(str(k) for k in cfg.encoder.group_kernels),
-        "skips=" + ",".join(s.token() for s in cfg.decoder.skips),
-        f"aggregation_width_mode={cfg.aggregation_width_mode}",
-        "dilation_rows=" + ",".join(str(r) for r in cfg.dilation_rows),
-    ]
-    return "\n".join(lines) + "\n"
+    sections = {"model": cfg, "encoder": cfg.encoder, "decoder": cfg.decoder}
+    return "".join(
+        f"{key}={fmt(getattr(sections[section], key))}\n"
+        for key, (section, _, fmt) in _CONFIG_FIELDS.items()
+    )
 
 
 def cityscapes_config() -> ModelConfig:

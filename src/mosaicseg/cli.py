@@ -12,14 +12,14 @@ import numpy as np
 from . import selftest as selftest_mod
 from .arch import build_model, load_config
 from .cost import (
-    DEFAULT_POLICY, INCLUSIVE_POLICY, ablation_report, count_model,
+    DEFAULT_POLICY, INCLUSIVE_POLICY, STAGES, ablation_report, count_model,
     render_ablation_csv, render_ablation_text, render_report_csv, render_report_text,
 )
-from .errors import ConfigError, FormatError, MosaicError, NumericError, ShapeError
-from .graph import describe_lines, execute
+from .errors import ConfigError, MosaicError
+from .graph import check_weights, describe_lines, execute
 from .images import read_image_ppm, write_labelmap_pgm
 from .kernels import argmax_channels
-from .weights import init_weights, load_weights, validate_weights
+from .weights import init_weights, load_weights, seeded_rng
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
@@ -38,7 +38,7 @@ def cmd_describe(args) -> int:
     for tap, node in model.taps.items():
         print(f"tap {tap}: {node} {model.shapes[node]}")
     report = count_model(model)
-    for stage in ("backbone", "encoder", "decoder", "head"):
+    for stage in STAGES:
         n_nodes = sum(1 for c in report.per_node if c.name.startswith(stage + "/"))
         print(f"stage {stage}: {n_nodes} nodes, {report.stage_params[stage]} params")
     print(f"{len(model.graph.order)} nodes total, logits at {model.logits}")
@@ -64,6 +64,7 @@ def cmd_ablate(args) -> int:
 def cmd_run(args) -> int:
     if args.weights is None and args.seed is None:
         raise ConfigError("run needs --weights or --seed")
+    rng = seeded_rng(args.seed or 0)  # rejects a bad --seed before any work
     timings = []
 
     start = time.perf_counter()
@@ -74,7 +75,7 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     if args.weights is not None:
         store = load_weights(args.weights)
-        validate_weights(model.graph, store)
+        check_weights(model.graph, store)
     else:
         store = init_weights(model, args.seed)
     timings.append(("weights", time.perf_counter() - start))
@@ -88,7 +89,6 @@ def cmd_run(args) -> int:
                 f"config expects {cfg.input_h}x{cfg.input_w}"
             )
     else:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed or 0)))
         image = rng.uniform(-1.0, 1.0, size=(cfg.input_h, cfg.input_w, 3)).astype(np.float32)
     timings.append(("input", time.perf_counter() - start))
 
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except BrokenPipeError:
         return RUNTIME_EXIT
-    except (FormatError, NumericError, ShapeError, MosaicError, OSError) as exc:
+    except (MosaicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

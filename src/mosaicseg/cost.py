@@ -86,21 +86,9 @@ def _stage_of(name: str) -> str:
     return head if head in STAGES else "other"
 
 
-def count_model(model: Model, input_h=None, input_w=None,
-                policy: CostPolicy = DEFAULT_POLICY) -> CostReport:
-    """Per-node counts summed into stage subtotals and totals.
-
-    Passing a resolution other than the model's rebuilds the graph from its
-    config at that resolution (resize targets are resolution-specific).
-    """
-    cfg = model.cfg
-    if input_h is not None or input_w is not None:
-        h = input_h if input_h is not None else cfg.input_h
-        w = input_w if input_w is not None else cfg.input_w
-        if (h, w) != (cfg.input_h, cfg.input_w):
-            model = build_model(replace(cfg, input_h=h, input_w=w))
-            cfg = model.cfg
-    graph = model.graph
+def count_model(model: Model, policy: CostPolicy = DEFAULT_POLICY) -> CostReport:
+    """Per-node counts summed into stage subtotals and totals."""
+    cfg, graph = model.cfg, model.graph
     shapes = model.shapes or infer_shapes(graph, TensorShape(cfg.input_h, cfg.input_w, 3))
 
     per_node = []

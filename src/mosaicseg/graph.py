@@ -1,11 +1,12 @@
 """Typed computation graph with shape inference and a topological executor.
 
 Nodes are appended via :func:`add_node` and may only reference nodes that
-already exist, so a graph is acyclic by construction; ``topo_order`` still
-detects cycles for defensively initialized graphs. Node kinds map one-to-one
-onto the kernels in :mod:`mosaicseg.kernels`, plus a zero-cost ``Slice`` kind
-for channel-range views (needed to lower grouped multi-kernel convolutions)
-and an ``Input`` kind for the designated source.
+already exist, so the insertion order is topological; ``topo_order`` returns
+it and still rejects a graph whose inputs were edited into a cycle behind the
+API. Node kinds map one-to-one onto the kernels in :mod:`mosaicseg.kernels`,
+plus a zero-cost ``Slice`` kind for channel-range views (needed to lower
+grouped multi-kernel convolutions) and an ``Input`` kind for the designated
+source.
 
 Parameterized kinds read their weights from a mapping with role-suffixed
 keys: ``<name>/kernel`` and optional ``<name>/bias`` for Conv,
@@ -13,7 +14,6 @@ keys: ``<name>/kernel`` and optional ``<name>/bias`` for Conv,
 for Affine.
 """
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -149,27 +149,15 @@ class Graph:
 
 
 def topo_order(graph: Graph) -> list[str]:
-    """Topological order with insertion-order tie-break; raises on cycles."""
-    index = {name: i for i, name in enumerate(graph.order)}
-    indegree = {name: len(graph.inputs[name]) for name in graph.order}
-    dependents: dict[str, list[str]] = {name: [] for name in graph.order}
-    for name, refs in graph.inputs.items():
-        for ref in refs:
-            dependents[ref].append(name)
-    ready = [index[n] for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        name = graph.order[heapq.heappop(ready)]
-        out.append(name)
-        for dep in dependents[name]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                heapq.heappush(ready, index[dep])
-    if len(out) != len(graph.order):
-        stuck = sorted(n for n, d in indegree.items() if d > 0)
-        raise ConfigError(f"graph contains a cycle involving {stuck[:4]}")
-    return out
+    """The insertion order, which is topological; raises if a node reads one
+    that is not earlier in it (a cycle in a graph edited behind add_node)."""
+    seen = set()
+    for name in graph.order:
+        for ref in graph.inputs[name]:
+            if ref not in seen:
+                raise ConfigError(f"graph contains a cycle: node {name!r} reads later node {ref!r}")
+        seen.add(name)
+    return list(graph.order)
 
 
 def _infer_node(spec: NodeSpec, in_shapes: list[TensorShape]) -> TensorShape:
@@ -333,29 +321,31 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     remaining = graph.consumers()
 
     values: dict[str, np.ndarray] = {}
-    for name in topo_order(graph):
-        spec = graph.nodes[name]
-        if spec.kind == "Input":
-            out = np.asarray(x, dtype=np.float32)
-        else:
-            ins = [values[r] for r in graph.inputs[name]]
-            try:
-                out = _run_node(spec, ins, weights)
-            except NumericError as exc:
-                # kernels check their outputs, so a non-finite input comes from the Input node
-                culprit = next(
-                    (r for r, v in zip(graph.inputs[name], ins) if not np.isfinite(v).all()), name
-                )
-                raise NumericError(f"node {culprit} ({graph.nodes[culprit].kind}): {exc}") from exc
-        if spec.kind != "Argmax":
-            got = shape_of(out)
-            if got != shapes[name]:
-                raise ShapeError(f"node {name}: executed shape {got} != inferred {shapes[name]}")
-        values[name] = out
-        for ref in graph.inputs[name]:
-            remaining[ref] -= 1
-            if remaining[ref] == 0 and ref not in keep:
-                del values[ref]
+    # every overflow or invalid value surfaces as a NumericError naming the node
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in topo_order(graph):
+            spec = graph.nodes[name]
+            if spec.kind == "Input":
+                out = np.asarray(x, dtype=np.float32)
+            else:
+                ins = [values[r] for r in graph.inputs[name]]
+                try:
+                    out = _run_node(spec, ins, weights)
+                except NumericError as exc:
+                    # kernels check their outputs, so a non-finite input comes from the Input node
+                    culprit = next(
+                        (r for r, v in zip(graph.inputs[name], ins) if not np.isfinite(v).all()), name
+                    )
+                    raise NumericError(f"node {culprit} ({graph.nodes[culprit].kind}): {exc}") from exc
+            if spec.kind != "Argmax":
+                got = shape_of(out)
+                if got != shapes[name]:
+                    raise ShapeError(f"node {name}: executed shape {got} != inferred {shapes[name]}")
+            values[name] = out
+            for ref in graph.inputs[name]:
+                remaining[ref] -= 1
+                if remaining[ref] == 0 and ref not in keep:
+                    del values[ref]
     return {name: values[name] for name in fetch}
 
 

@@ -33,26 +33,32 @@ def _read_header_tokens(data: bytes, n_tokens: int):
     return tokens, pos + 1
 
 
-def read_image_ppm(path) -> np.ndarray:
-    """Read an 8-bit binary PPM into a (h, w, 3) float32 map in [-1, 1]."""
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The (h, w, channels) uint8 pixels of an 8-bit binary PPM or PGM file."""
+    kind = "PPM" if channels == 3 else "PGM"
     with open(path, "rb") as fh:
         data = fh.read()
     tokens, offset = _read_header_tokens(data, 4)
-    if tokens[0] != b"P6":
-        raise FormatError(f"unsupported magic {tokens[0]!r}, expected P6")
+    if tokens[0] != magic:
+        raise FormatError(f"unsupported magic {tokens[0]!r}, expected {magic.decode()}")
     try:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
-        raise FormatError("non-numeric PPM header fields") from None
+        raise FormatError(f"non-numeric {kind} header fields") from None
     if w < 1 or h < 1:
-        raise FormatError(f"bad PPM dimensions {w}x{h}")
+        raise FormatError(f"bad {kind} dimensions {w}x{h}")
     if maxval != 255:
         raise FormatError(f"unsupported bit depth: maxval {maxval}, expected 255")
-    need = h * w * 3
+    need = h * w * channels
     payload = data[offset:offset + need]
     if len(payload) != need:
-        raise FormatError(f"truncated PPM payload: got {len(payload)} of {need} bytes")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+        raise FormatError(f"truncated {kind} payload: got {len(payload)} of {need} bytes")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+
+
+def read_image_ppm(path) -> np.ndarray:
+    """Read an 8-bit binary PPM into a (h, w, 3) float32 map in [-1, 1]."""
+    pixels = _read_netpbm(path, b"P6", 3)
     return (pixels.astype(np.float64) / 127.5 - 1.0).astype(np.float32)
 
 
@@ -85,21 +91,4 @@ def write_labelmap_pgm(labels: np.ndarray, path) -> None:
 
 def read_labelmap_pgm(path) -> np.ndarray:
     """Read a binary PGM back into a (h, w) int32 label map."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, offset = _read_header_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise FormatError(f"unsupported magic {tokens[0]!r}, expected P5")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise FormatError("non-numeric PGM header fields") from None
-    if w < 1 or h < 1:
-        raise FormatError(f"bad PGM dimensions {w}x{h}")
-    if maxval != 255:
-        raise FormatError(f"unsupported bit depth: maxval {maxval}, expected 255")
-    need = h * w
-    payload = data[offset:offset + need]
-    if len(payload) != need:
-        raise FormatError(f"truncated PGM payload: got {len(payload)} of {need} bytes")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.int32)
+    return _read_netpbm(path, b"P5", 1)[:, :, 0].astype(np.int32)

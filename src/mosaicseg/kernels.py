@@ -65,6 +65,23 @@ def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: Conv
     return padded[top: top + (n - 1) * s + 1: s, kj * d: kj * d + (out_w - 1) * s + 1: s]
 
 
+def _conv_args(fn: str, x, kernels, bias, params: ConvParams):
+    """The checked float32 input, kernels and bias (or None) of a convolution."""
+    x = as_feature_map(x)
+    if x.shape[2] != params.in_c:
+        raise ShapeError(f"{fn}: input has {x.shape[2]} channels, params expect {params.in_c}")
+    kernels = np.asarray(kernels, dtype=np.float32)
+    if kernels.shape != params.kernel_shape():
+        raise ShapeError(
+            f"{fn}: kernel shape {kernels.shape} does not match expected {params.kernel_shape()}"
+        )
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float32)
+        if bias.shape != (params.out_c,):
+            raise ShapeError(f"{fn}: bias length {bias.shape} != out_c {params.out_c}")
+    return x, kernels, bias
+
+
 def conv2d(x, kernels, bias, params: ConvParams) -> np.ndarray:
     """Grouped 2-D convolution with SAME zero padding.
 
@@ -72,22 +89,9 @@ def conv2d(x, kernels, bias, params: ConvParams) -> np.ndarray:
     reads input channels [g*ig, (g+1)*ig) and writes output channels
     [g*og, (g+1)*og). ``bias`` is a per-output-channel vector or None.
     """
-    x = as_feature_map(x)
-    if x.shape[2] != params.in_c:
-        raise ShapeError(f"conv2d: input has {x.shape[2]} channels, params expect {params.in_c}")
-    kernels = np.asarray(kernels, dtype=np.float32)
-    if kernels.shape != params.kernel_shape():
-        raise ShapeError(
-            f"conv2d: kernel shape {kernels.shape} does not match expected {params.kernel_shape()}"
-        )
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float32)
-        if bias.shape != (params.out_c,):
-            raise ShapeError(f"conv2d: bias length {bias.shape} != out_c {params.out_c}")
-
+    x, kernels, bias = _conv_args("conv2d", x, kernels, bias, params)
     if params.is_depthwise:
-        kernels = kernels.reshape(params.kernel_h, params.kernel_w, params.out_c)
-        out = _depthwise(x, kernels, bias, params)
+        out = _depthwise(x, kernels[:, :, 0, :], bias, params)
     else:
         out = _conv_gemm(x, kernels, bias, params)
     return require_finite(out, "conv2d")
@@ -161,21 +165,15 @@ def _depthwise(x, kernels, bias, params: ConvParams) -> np.ndarray:
 
 
 def depthwise_conv2d(x, kernels, params: ConvParams) -> np.ndarray:
-    """Per-channel convolution; channel i of the output depends only on channel i."""
-    x = as_feature_map(x)
+    """Per-channel convolution with (kernel_h, kernel_w, c) or (kernel_h,
+    kernel_w, 1, c) kernels; output channel i depends only on input channel i."""
     if not params.is_depthwise:
         raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
-    if x.shape[2] != params.in_c:
-        raise ShapeError(f"depthwise_conv2d: input has {x.shape[2]} channels, expected {params.in_c}")
     kernels = np.asarray(kernels, dtype=np.float32)
-    if kernels.ndim == 4:  # stored layout (kh, kw, 1, c)
-        kernels = kernels.reshape(kernels.shape[0], kernels.shape[1], kernels.shape[3])
-    if kernels.shape != (params.kernel_h, params.kernel_w, params.in_c):
-        raise ShapeError(
-            f"depthwise_conv2d: kernel shape {kernels.shape} != "
-            f"{(params.kernel_h, params.kernel_w, params.in_c)}"
-        )
-    return require_finite(_depthwise(x, kernels, None, params), "depthwise_conv2d")
+    if kernels.ndim == 3:
+        kernels = kernels[:, :, None, :]
+    x, kernels, _ = _conv_args("depthwise_conv2d", x, kernels, None, params)
+    return require_finite(_depthwise(x, kernels[:, :, 0, :], None, params), "depthwise_conv2d")
 
 
 def avg_pool_grid(x, grid_h: int, grid_w: int) -> np.ndarray:
@@ -205,8 +203,6 @@ def global_avg_pool(x) -> np.ndarray:
 
 
 def _source_coords(n_out: int, n_in: int, mode: str) -> np.ndarray:
-    if mode not in VALID_RESIZE_MODES:
-        raise ConfigError(f"resize mode must be one of {VALID_RESIZE_MODES}, got {mode!r}")
     if mode == "corner":
         if n_out == 1:
             return np.zeros(1, dtype=np.float64)

@@ -3,7 +3,7 @@
 Runs kernel-vs-oracle comparisons, the SAME shape law, exact cost-counter
 checks against instrumented naive kernels, and the published-ordering checks.
 The oracles here are deliberately naive loop implementations, independent of
-the vectorized kernels they verify.
+the vectorized kernels they verify; the test suite compares against them too.
 
 The ordering check against the published filter-ablation column is known to
 fail: the computed totals do not reproduce three cross-block pairs of that
@@ -26,20 +26,29 @@ from .tensor import ConvParams, TensorShape
 KNOWN_GAPS = ("published ordering: filters",)
 
 
-def naive_conv2d(x, kern, bias, params: ConvParams, count_mults=False):
+def same_pad(size, kernel, stride, dilation):
+    """The oracles' own SAME padding, written apart from ``kernels.same_pad`` so
+    a fault in the kernels' pad split cannot hide in both sides of a check."""
+    out = -(-size // stride)
+    eff = (kernel - 1) * dilation + 1
+    total = max((out - 1) * stride + eff - size, 0)
+    return out, total // 2, total - total // 2
+
+
+def conv2d_loops(x, kern, bias, params: ConvParams, count_mults=False):
     """Direct SAME-padded convolution; optionally returns the multiply count.
 
     Every tap of the padded window is multiplied (zeros included), so the
     count equals out_h*out_w*out_c*kernel_h*kernel_w*in_c/groups exactly.
     """
-    h, w_in, _ = x.shape
-    out_h, pad_t, pad_b = kernels.same_pad(h, params.kernel_h, params.stride, params.dilation)
-    out_w, pad_l, pad_r = kernels.same_pad(w_in, params.kernel_w, params.stride, params.dilation)
-    padded = np.pad(x.astype(np.float64), ((pad_t, pad_b), (pad_l, pad_r), (0, 0)))
+    h, w, _ = x.shape
+    out_h, pt, pb = same_pad(h, params.kernel_h, params.stride, params.dilation)
+    out_w, pl, pr = same_pad(w, params.kernel_w, params.stride, params.dilation)
+    padded = np.pad(np.asarray(x, dtype=np.float64), ((pt, pb), (pl, pr), (0, 0)))
+    k64 = np.asarray(kern, dtype=np.float64)
     ig = params.in_c // params.groups
     og = params.out_c // params.groups
     out = np.zeros((out_h, out_w, params.out_c), dtype=np.float64)
-    w64 = np.asarray(kern, dtype=np.float64)
     mults = 0
     for oy in range(out_h):
         for ox in range(out_w):
@@ -51,7 +60,7 @@ def naive_conv2d(x, kern, bias, params: ConvParams, count_mults=False):
                         iy = oy * params.stride + ky * params.dilation
                         ix = ox * params.stride + kx * params.dilation
                         row = padded[iy, ix, g * ig:(g + 1) * ig]
-                        acc += float(row @ w64[ky, kx, :, oc])
+                        acc += float(row @ k64[ky, kx, :, oc])
                         mults += ig
                 if bias is not None:
                     acc += float(bias[oc])
@@ -60,33 +69,33 @@ def naive_conv2d(x, kern, bias, params: ConvParams, count_mults=False):
     return (out32, mults) if count_mults else out32
 
 
-def naive_depthwise(x, kern, params: ConvParams, count_mults=False):
+def depthwise_loops(x, kern, params: ConvParams, count_mults=False):
     kern = np.asarray(kern, dtype=np.float64)
     if kern.ndim == 4:
         kern = kern.reshape(kern.shape[0], kern.shape[1], kern.shape[3])
-    stacked = kern[:, :, None, :]  # layout (kh, kw, in_c/groups=1, out_c)
-    return naive_conv2d(x, stacked, None, params, count_mults)
+    return conv2d_loops(x, kern[:, :, None, :], None, params, count_mults)
 
 
-def naive_avg_pool(x, gh, gw):
+def avg_pool_loops(x, gh, gw):
     h, w, c = x.shape
     out = np.zeros((gh, gw, c), dtype=np.float64)
     for i in range(gh):
         for j in range(gw):
             r0, r1 = i * h // gh, (i + 1) * h // gh
-            c0, c1 = j * w // gw, (j + 1) * w // gw
-            total = np.zeros(c, dtype=np.float64)
+            q0, q1 = j * w // gw, (j + 1) * w // gw
+            acc = np.zeros(c, dtype=np.float64)
             n = 0
             for r in range(r0, r1):
-                for q in range(c0, c1):
-                    total += x[r, q, :].astype(np.float64)
+                for q in range(q0, q1):
+                    acc += x[r, q, :].astype(np.float64)
                     n += 1
-            out[i, j, :] = total / n
+            out[i, j, :] = acc / n
     return out.astype(np.float32)
 
 
-def naive_resize(x, oh, ow, mode="corner"):
+def resize_loops(x, oh, ow, mode="corner"):
     h, w, c = x.shape
+    x64 = np.asarray(x, dtype=np.float64)
     out = np.zeros((oh, ow, c), dtype=np.float64)
     for r in range(oh):
         for q in range(ow):
@@ -99,45 +108,45 @@ def naive_resize(x, oh, ow, mode="corner"):
             r0, c0 = int(np.floor(sr)), int(np.floor(sc))
             r1, c1 = min(r0 + 1, h - 1), min(c0 + 1, w - 1)
             fr, fc = sr - r0, sc - c0
-            x64 = x.astype(np.float64)
             top = x64[r0, c0] * (1 - fc) + x64[r0, c1] * fc
             bot = x64[r1, c0] * (1 - fc) + x64[r1, c1] * fc
             out[r, q, :] = top * (1 - fr) + bot * fr
     return out.astype(np.float32)
 
 
-def _close(a, b, rtol=1e-5, atol=1e-6):
-    return np.allclose(a, b, rtol=rtol, atol=atol)
-
-
-def _random_conv_spec(rng):
+def random_conv_spec(rng, max_side=13, channel_pool=(2, 4, 6, 8)):
+    """(h, w, ConvParams) for a random grouped, depthwise or dense conv."""
     kernel = int(rng.choice([1, 3, 5]))
     stride = int(rng.choice([1, 2]))
     dilation = int(rng.choice([1, 2]))
-    in_c = int(rng.choice([2, 4, 6, 8]))
+    in_c = int(rng.choice(channel_pool))
     grouping = rng.choice(["one", "two", "depthwise"])
     if grouping == "depthwise":
         groups, out_c = in_c, in_c
-    elif grouping == "two":
+    elif grouping == "two" and in_c % 2 == 0:
         groups = 2
         out_c = int(rng.choice([2, 4, 6]))
     else:
         groups = 1
         out_c = int(rng.choice([1, 3, 5, 8]))
-    h = int(rng.integers(4, 13))
-    w = int(rng.integers(4, 13))
+    h = int(rng.integers(3, max_side))
+    w = int(rng.integers(3, max_side))
     return h, w, ConvParams(kernel, kernel, stride, dilation, groups, in_c, out_c)
+
+
+def _close(a, b, rtol=1e-5, atol=1e-6):
+    return np.allclose(a, b, rtol=rtol, atol=atol)
 
 
 def _check_conv_oracle(n_cases=10, seed=11):
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
-        h, w, params = _random_conv_spec(rng)
+        h, w, params = random_conv_spec(rng)
         x = rng.standard_normal((h, w, params.in_c)).astype(np.float32)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
         bias = rng.standard_normal(params.out_c).astype(np.float32)
         got = kernels.conv2d(x, kern, bias, params)
-        want = naive_conv2d(x, kern, bias, params)
+        want = conv2d_loops(x, kern, bias, params)
         if not _close(got, want):
             return False, f"conv2d mismatch for {params}"
     return True, f"{n_cases} random cases within 1e-5"
@@ -153,7 +162,7 @@ def _check_depthwise_oracle(n_cases=8, seed=12):
         x = rng.standard_normal((h, w, c)).astype(np.float32)
         kern = rng.standard_normal((k, k, c)).astype(np.float32)
         got = kernels.depthwise_conv2d(x, kern, params)
-        want = naive_depthwise(x, kern, params)
+        want = depthwise_loops(x, kern, params)
         if not _close(got, want):
             return False, f"depthwise mismatch for {params}"
     return True, f"{n_cases} random cases within 1e-5"
@@ -166,7 +175,7 @@ def _check_pool_oracle(n_cases=6, seed=13):
         c = int(rng.integers(1, 5))
         gh, gw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
         x = rng.standard_normal((h, w, c)).astype(np.float32)
-        if not _close(kernels.avg_pool_grid(x, gh, gw), naive_avg_pool(x, gh, gw)):
+        if not _close(kernels.avg_pool_grid(x, gh, gw), avg_pool_loops(x, gh, gw)):
             return False, f"avg_pool_grid mismatch for {h}x{w} grid {gh}x{gw}"
     return True, f"{n_cases} random cases within 1e-5"
 
@@ -180,7 +189,7 @@ def _check_resize_oracle(n_cases=6, seed=14):
             c = int(rng.integers(1, 4))
             x = rng.standard_normal((h, w, c)).astype(np.float32)
             got = kernels.bilinear_resize(x, oh, ow, mode)
-            if not _close(got, naive_resize(x, oh, ow, mode)):
+            if not _close(got, resize_loops(x, oh, ow, mode)):
                 return False, f"bilinear mismatch {h}x{w}->{oh}x{ow} mode={mode}"
     return True, f"{2 * n_cases} random cases within 1e-5"
 
@@ -224,10 +233,10 @@ def _check_shape_law():
 def _check_cost_oracle(n_cases=30, seed=17):
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
-        h, w, params = _random_conv_spec(rng)
+        h, w, params = random_conv_spec(rng)
         x = rng.standard_normal((h, w, params.in_c)).astype(np.float32)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-        _, mults = naive_conv2d(x, kern, None, params, count_mults=True)
+        _, mults = conv2d_loops(x, kern, None, params, count_mults=True)
         kind = "DepthwiseConv" if params.is_depthwise else "Conv"
         spec = NodeSpec("probe", kind, {"conv": params})
         oh, _, _ = kernels.same_pad(h, params.kernel_h, params.stride, params.dilation)

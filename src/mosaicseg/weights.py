@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .graph import Graph, check_weights, expected_weight_shape, weight_roles
+from .graph import Graph, expected_weight_shape, weight_roles
 
 MAGIC = b"MOSW"
 VERSION = 1
@@ -58,10 +58,17 @@ class WeightStore:
         return all(np.array_equal(v, other.entries[k]) for k, v in self.entries.items())
 
 
+def seeded_rng(seed: int) -> "np.random.Generator":  # numpy.random loads on first use
+    """The Philox4x32-10 generator keyed by ``seed``, an integer in 0..2**64-1."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in 0..2**64-1, got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def init_weights(model_or_graph, seed: int) -> WeightStore:
     """Seeded Philox initialization for every parameterized node."""
     graph: Graph = getattr(model_or_graph, "graph", model_or_graph)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = seeded_rng(seed)
     store = WeightStore()
     for name in graph.order:
         spec = graph.nodes[name]
@@ -78,10 +85,6 @@ def init_weights(model_or_graph, seed: int) -> WeightStore:
             else:  # bias
                 store[f"{name}/{role}"] = np.zeros(shape, dtype=np.float32)
     return store
-
-
-def validate_weights(graph: Graph, store: WeightStore) -> None:
-    check_weights(graph, store)
 
 
 def save_weights(store: WeightStore, path) -> None:

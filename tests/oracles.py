@@ -1,66 +1,16 @@
-"""Brute-force oracle implementations used by the test suite.
+"""Whole-array and brute-force oracles that only the test suite uses.
 
-Everything here is written as plain loops over output positions, independent
-of the vectorized kernels under test. The conv oracle can also count the
-scalar multiplications it performs (including multiplies against padding
-zeros, which is the convention the analytical cost model uses).
-
-The ``*_whole`` oracles are the other kind: whole-array float64 evaluations
-whose per-element IEEE operations, and their order, are the numeric contract
-of the banded kernels, so those must match them bit for bit.
+The ``*_whole`` oracles are whole-array float64 evaluations whose per-element
+IEEE operations, and their order, are the numeric contract of the banded
+kernels, so those must match them bit for bit. The loop oracles that
+``mosaic selftest`` also runs (conv, depthwise, pool, resize and the random
+conv spec) live in :mod:`mosaicseg.selftest`.
 """
 
 import numpy as np
 
+from mosaicseg.selftest import same_pad
 from mosaicseg.tensor import ConvParams
-
-
-def ceil_div(a, b):
-    return -(-a // b)
-
-
-def same_pad(size, kernel, stride, dilation):
-    out = ceil_div(size, stride)
-    eff = (kernel - 1) * dilation + 1
-    total = max((out - 1) * stride + eff - size, 0)
-    return out, total // 2, total - total // 2
-
-
-def conv2d_loops(x, kern, bias, params: ConvParams, count_mults=False):
-    h, w, _ = x.shape
-    out_h, pt, pb = same_pad(h, params.kernel_h, params.stride, params.dilation)
-    out_w, pl, pr = same_pad(w, params.kernel_w, params.stride, params.dilation)
-    padded = np.pad(np.asarray(x, dtype=np.float64), ((pt, pb), (pl, pr), (0, 0)))
-    k64 = np.asarray(kern, dtype=np.float64)
-    ig = params.in_c // params.groups
-    og = params.out_c // params.groups
-    out = np.zeros((out_h, out_w, params.out_c), dtype=np.float64)
-    mults = 0
-    for oy in range(out_h):
-        for ox in range(out_w):
-            for oc in range(params.out_c):
-                g = oc // og
-                acc = 0.0
-                for ky in range(params.kernel_h):
-                    for kx in range(params.kernel_w):
-                        iy = oy * params.stride + ky * params.dilation
-                        ix = ox * params.stride + kx * params.dilation
-                        acc += float(
-                            padded[iy, ix, g * ig:(g + 1) * ig] @ k64[ky, kx, :, oc]
-                        )
-                        mults += ig
-                if bias is not None:
-                    acc += float(bias[oc])
-                out[oy, ox, oc] = acc
-    out32 = out.astype(np.float32)
-    return (out32, mults) if count_mults else out32
-
-
-def depthwise_loops(x, kern, params: ConvParams, count_mults=False):
-    kern = np.asarray(kern, dtype=np.float64)
-    if kern.ndim == 4:
-        kern = kern.reshape(kern.shape[0], kern.shape[1], kern.shape[3])
-    return conv2d_loops(x, kern[:, :, None, :], None, params, count_mults)
 
 
 def _pad_whole(x, params: ConvParams):
@@ -162,44 +112,6 @@ def affine_whole(x, scale, bias):
     return (x64 * s64 + b64).astype(np.float32)
 
 
-def avg_pool_loops(x, gh, gw):
-    h, w, c = x.shape
-    out = np.zeros((gh, gw, c), dtype=np.float64)
-    for i in range(gh):
-        for j in range(gw):
-            r0, r1 = i * h // gh, (i + 1) * h // gh
-            q0, q1 = j * w // gw, (j + 1) * w // gw
-            acc = np.zeros(c, dtype=np.float64)
-            n = 0
-            for r in range(r0, r1):
-                for q in range(q0, q1):
-                    acc += x[r, q, :].astype(np.float64)
-                    n += 1
-            out[i, j, :] = acc / n
-    return out.astype(np.float32)
-
-
-def resize_loops(x, oh, ow, mode="corner"):
-    h, w, c = x.shape
-    x64 = np.asarray(x, dtype=np.float64)
-    out = np.zeros((oh, ow, c), dtype=np.float64)
-    for r in range(oh):
-        for q in range(ow):
-            if mode == "corner":
-                sr = 0.0 if oh == 1 else r * (h - 1) / (oh - 1)
-                sc = 0.0 if ow == 1 else q * (w - 1) / (ow - 1)
-            else:
-                sr = min(max((r + 0.5) * h / oh - 0.5, 0.0), h - 1)
-                sc = min(max((q + 0.5) * w / ow - 0.5, 0.0), w - 1)
-            r0, c0 = int(np.floor(sr)), int(np.floor(sc))
-            r1, c1 = min(r0 + 1, h - 1), min(c0 + 1, w - 1)
-            fr, fc = sr - r0, sc - c0
-            top = x64[r0, c0] * (1 - fc) + x64[r0, c1] * fc
-            bot = x64[r1, c0] * (1 - fc) + x64[r1, c1] * fc
-            out[r, q, :] = top * (1 - fr) + bot * fr
-    return out.astype(np.float32)
-
-
 def argmax_loops(x):
     h, w, c = x.shape
     out = np.zeros((h, w), dtype=np.int32)
@@ -226,22 +138,3 @@ def miou_confusion(pred, gt, k, ignore_label=None):
         if union > 0:
             ious.append(inter / union)
     return float(np.mean(ious))
-
-
-def random_conv_spec(rng, max_side=13, channel_pool=(2, 4, 6, 8)):
-    kernel = int(rng.choice([1, 3, 5]))
-    stride = int(rng.choice([1, 2]))
-    dilation = int(rng.choice([1, 2]))
-    in_c = int(rng.choice(channel_pool))
-    grouping = rng.choice(["one", "two", "depthwise"])
-    if grouping == "depthwise":
-        groups, out_c = in_c, in_c
-    elif grouping == "two" and in_c % 2 == 0:
-        groups = 2
-        out_c = int(rng.choice([2, 4, 6]))
-    else:
-        groups = 1
-        out_c = int(rng.choice([1, 3, 5, 8]))
-    h = int(rng.integers(3, max_side))
-    w = int(rng.integers(3, max_side))
-    return h, w, ConvParams(kernel, kernel, stride, dilation, groups, in_c, out_c)

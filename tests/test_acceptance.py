@@ -35,6 +35,9 @@ from mosaicseg.cost import DEFAULT_POLICY, ablation_report, count_config, count_
 from mosaicseg.graph import Graph, NodeSpec, infer_shapes
 from mosaicseg.images import read_labelmap_pgm
 from mosaicseg.metrics import compute_miou
+from mosaicseg.selftest import (
+    avg_pool_loops, conv2d_loops, depthwise_loops, random_conv_spec, resize_loops,
+)
 from mosaicseg.tensor import ConvParams, TensorShape
 
 import oracles
@@ -199,7 +202,7 @@ def test_c4_cost_counter_exact_on_200_specs():
         h, w = int(rng.integers(1, 17)), int(rng.integers(1, 17))
         x = rng.standard_normal((h, w, in_c)).astype(np.float32)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-        _, mults = oracles.conv2d_loops(x, kern, None, params, count_mults=True)
+        _, mults = conv2d_loops(x, kern, None, params, count_mults=True)
         kind = "DepthwiseConv" if params.is_depthwise else "Conv"
         oh, _, _ = kernels.same_pad(h, kernel, stride, dilation)
         ow, _, _ = kernels.same_pad(w, kernel, stride, dilation)
@@ -222,12 +225,12 @@ def _rel_close(a, b):
 def test_c5_kernel_oracles_100_cases_each():
     rng = np.random.default_rng(505)
     for _ in range(100):
-        h, w, params = oracles.random_conv_spec(rng, max_side=11, channel_pool=(2, 3, 4, 6))
+        h, w, params = random_conv_spec(rng, max_side=11, channel_pool=(2, 3, 4, 6))
         x = rng.standard_normal((h, w, params.in_c)).astype(np.float32)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
         bias = rng.standard_normal(params.out_c).astype(np.float32)
         assert _rel_close(kernels.conv2d(x, kern, bias, params),
-                          oracles.conv2d_loops(x, kern, bias, params)), params
+                          conv2d_loops(x, kern, bias, params)), params
 
     for _ in range(100):
         c = int(rng.choice([1, 2, 4]))
@@ -237,7 +240,7 @@ def test_c5_kernel_oracles_100_cases_each():
         x = rng.standard_normal((h, w, c)).astype(np.float32)
         kern = rng.standard_normal((k, k, c)).astype(np.float32)
         assert _rel_close(kernels.depthwise_conv2d(x, kern, params),
-                          oracles.depthwise_loops(x, kern, params)), params
+                          depthwise_loops(x, kern, params)), params
 
     for _ in range(100):
         h, w = int(rng.integers(2, 21)), int(rng.integers(2, 21))
@@ -245,7 +248,7 @@ def test_c5_kernel_oracles_100_cases_each():
         gh, gw = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
         x = rng.standard_normal((h, w, c)).astype(np.float32)
         assert _rel_close(kernels.avg_pool_grid(x, gh, gw),
-                          oracles.avg_pool_loops(x, gh, gw)), (h, w, gh, gw)
+                          avg_pool_loops(x, gh, gw)), (h, w, gh, gw)
 
     for _ in range(100):
         h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -254,7 +257,7 @@ def test_c5_kernel_oracles_100_cases_each():
         mode = str(rng.choice(["corner", "half"]))
         x = rng.standard_normal((h, w, c)).astype(np.float32)
         assert _rel_close(kernels.bilinear_resize(x, oh, ow, mode),
-                          oracles.resize_loops(x, oh, ow, mode)), (h, w, oh, ow, mode)
+                          resize_loops(x, oh, ow, mode)), (h, w, oh, ow, mode)
 
     # grouped conv equals a dense conv with the kernel zeroed off-block
     for _ in range(20):

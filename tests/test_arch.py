@@ -6,7 +6,7 @@ import pytest
 from mosaicseg.arch import (
     BACKBONE_ROWS, DecoderConfig, EncoderConfig, ModelConfig, SkipSpec,
     ade20k_config, build_backbone, build_bneck, build_model, cityscapes_config,
-    dump_config, parse_config, parse_skip, with_skips,
+    dump_config, load_config, parse_config, parse_skip, with_skips,
 )
 from mosaicseg.errors import ConfigError
 from mosaicseg.graph import Graph, execute, infer_shapes
@@ -414,6 +414,21 @@ def test_backbone_rows_table_consistency():
 def test_config_roundtrip():
     for cfg in (cityscapes_config(), ade20k_config()):
         assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_config_dump_text_is_pinned():
+    assert dump_config(cityscapes_config()) == (
+        "m=480\nnum_classes=19\ninput_h=1024\ninput_w=2048\nenc_filters=32\n"
+        "dec_filters=64\npyramid_bins=4,8,16\nuse_group_conv=true\ngroup_kernels=3,5\n"
+        "skips=8-C,4-S\naggregation_width_mode=EncoderWidth\ndilation_rows=15,16,17\n"
+    )
+
+
+def test_load_config_non_utf8_is_config_error(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"m=4\xff80\n")
+    with pytest.raises(ConfigError, match="not valid UTF-8 at byte 3"):
+        load_config(path)
 
 
 def test_config_empty_takes_defaults():

@@ -213,8 +213,7 @@ def test_run_non_utf8_weight_name_exit_1(capsys, tiny_conf, tmp_path):
 
 
 @pytest.mark.parametrize("role,value", [("kernel", np.inf), ("scale", 3e38)])
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_non_finite_names_node_exit_1(capsys, tiny_conf, tmp_path, role, value):
     # an inf conv weight, or a BN scale that overflows float32, in the first such node
     store = init_weights(build_model(parse_config(TINY)), 3)
@@ -230,6 +229,28 @@ def test_run_non_finite_names_node_exit_1(capsys, tiny_conf, tmp_path, role, val
     node = key.rsplit("/", 1)[0]
     kind = "Conv" if role == "kernel" else "Affine"
     assert f"error: node {node} ({kind}): " in err and "non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_config_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"m=4\xff80\n")
+    code, _, err = run_cli(capsys, "describe", str(path))
+    assert code == 2
+    assert "not valid UTF-8 at byte 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("with_weights", [False, True])
+def test_run_negative_seed_exit_2(capsys, tiny_conf, tmp_path, with_weights):
+    argv = ["run", tiny_conf, "--seed", "-1", "--output", str(tmp_path / "out.pgm")]
+    if with_weights:
+        weights_path = tmp_path / "w.mosw"
+        save_weights(init_weights(build_model(parse_config(TINY)), 3), weights_path)
+        argv += ["--weights", str(weights_path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "seed" in err
     assert "Traceback" not in err
 
 

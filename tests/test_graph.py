@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +269,21 @@ def test_ade20k_logits_golden_digest():
     assert hashlib.sha256(logits.tobytes()).hexdigest() == ADE20K_256_LOGITS_SHA256
 
 
+def test_benchmark_tracer_finds_every_hook():
+    # perfbench/tracing.py wraps package functions by module attribute name and
+    # looks each one up when built, so a renamed or deleted hook fails here
+    from mosaicseg import arch, cost, graph, images, metrics, weights
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    ms = {"arch": arch, "cost": cost, "graph": graph, "images": images,
+          "kernels": kernels, "metrics": metrics, "weights": weights}
+    tracer = tracing.Tracer(ms)
+    assert {"graph.topo_order", "graph.infer_shapes", "tensor.as_feature_map"} <= tracer.span_names
+
+
 def conv_affine_graph(rng):
     """input -> conv c (3x3, 3->4) -> affine a, with finite weights."""
     g = Graph()
@@ -295,7 +312,7 @@ def test_execute_inf_weight_names_conv_node(rng):
         execute(g, store, rng.standard_normal((5, 5, 3)).astype(np.float32))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_execute_float32_overflow_names_affine_node(rng):
     # finite in float64, beyond float32 range once rounded
     g, store = conv_affine_graph(rng)

@@ -3,6 +3,9 @@ import pytest
 
 from mosaicseg import kernels
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
+from mosaicseg.selftest import (
+    avg_pool_loops, conv2d_loops, depthwise_loops, random_conv_spec, resize_loops,
+)
 from mosaicseg.tensor import ConvParams
 
 import oracles
@@ -60,12 +63,12 @@ def test_conv_group_equivalence_property(rng, groups):
 
 def test_conv_matches_loop_oracle_random_specs(rng):
     for _ in range(25):
-        h, w, params = oracles.random_conv_spec(rng)
+        h, w, params = random_conv_spec(rng)
         x = rand_map(rng, h, w, params.in_c)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
         bias = rng.standard_normal(params.out_c).astype(np.float32)
         got = kernels.conv2d(x, kern, bias, params)
-        want = oracles.conv2d_loops(x, kern, bias, params)
+        want = conv2d_loops(x, kern, bias, params)
         assert np.allclose(got, want, rtol=1e-5, atol=1e-6), params
 
 
@@ -136,7 +139,7 @@ def test_depthwise_dilated_matches_loops(rng):
     params = ConvParams(3, 3, 1, 2, 2, 2, 2)
     kern = rng.standard_normal((3, 3, 2)).astype(np.float32)
     got = kernels.depthwise_conv2d(x, kern, params)
-    want = oracles.depthwise_loops(x, kern, params)
+    want = depthwise_loops(x, kern, params)
     assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
@@ -184,7 +187,7 @@ def test_avg_pool_singleton_bins(rng):
 def test_avg_pool_matches_loops_nondivisible(rng):
     x = rand_map(rng, 11, 13, 3)
     got = kernels.avg_pool_grid(x, 4, 6)
-    want = oracles.avg_pool_loops(x, 4, 6)
+    want = avg_pool_loops(x, 4, 6)
     assert np.allclose(got, want, rtol=1e-6, atol=1e-7)
 
 
@@ -253,7 +256,7 @@ def test_resize_matches_loops_both_modes(rng):
             oh, ow = int(rng.integers(1, 15)), int(rng.integers(1, 15))
             x = rand_map(rng, h, w, 2)
             got = kernels.bilinear_resize(x, oh, ow, mode)
-            want = oracles.resize_loops(x, oh, ow, mode)
+            want = resize_loops(x, oh, ow, mode)
             assert np.allclose(got, want, rtol=1e-5, atol=1e-6), (h, w, oh, ow, mode)
 
 

@@ -1,5 +1,3 @@
-import numpy as np
-
 from mosaicseg import kernels, selftest
 
 
@@ -36,15 +34,3 @@ def test_injected_stride_fault_trips_shape_law(monkeypatch):
     assert not ok
     assert "ceil" in detail
 
-
-def test_naive_oracles_agree_with_each_other(rng):
-    # the selftest oracles and the test-suite oracles are written separately;
-    # spot-check they describe the same arithmetic
-    import oracles
-    from mosaicseg.tensor import ConvParams
-    params = ConvParams(3, 3, 2, 2, 1, 3, 4)
-    x = rng.standard_normal((7, 9, 3)).astype(np.float32)
-    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    a = selftest.naive_conv2d(x, kern, None, params)
-    b = oracles.conv2d_loops(x, kern, None, params)
-    assert np.allclose(a, b, rtol=1e-6, atol=1e-7)

@@ -3,12 +3,11 @@ import pytest
 
 from mosaicseg.arch import DecoderConfig, EncoderConfig, ModelConfig, build_model
 from mosaicseg.errors import ConfigError, FormatError, ShapeError
+from mosaicseg.graph import check_weights
 from mosaicseg.images import (
     read_image_ppm, read_labelmap_pgm, write_image_ppm, write_labelmap_pgm,
 )
-from mosaicseg.weights import (
-    WeightStore, init_weights, load_weights, save_weights, validate_weights,
-)
+from mosaicseg.weights import WeightStore, init_weights, load_weights, save_weights
 
 
 def small_model():
@@ -31,9 +30,15 @@ def test_init_different_seeds_differ():
     assert any(not np.array_equal(a[k], b[k]) for k in a.keys())
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_init_rejects_seed_outside_uint64(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        init_weights(small_model(), seed)
+
+
 def test_init_covers_model_exactly():
     model = small_model()
-    validate_weights(model.graph, init_weights(model, 9))
+    check_weights(model.graph, init_weights(model, 9))
 
 
 def test_init_kernel_variance_tracks_fan_in():
@@ -144,11 +149,11 @@ def test_validate_flags_missing_and_orphans():
     key = next(iter(store.keys()))
     del store.entries[key]
     with pytest.raises(ConfigError, match="missing"):
-        validate_weights(model.graph, store)
+        check_weights(model.graph, store)
     store = init_weights(model, 1)
     store["nobody/kernel"] = np.zeros((1, 1, 1, 1), np.float32)
     with pytest.raises(ConfigError, match="orphan"):
-        validate_weights(model.graph, store)
+        check_weights(model.graph, store)
 
 
 def test_validate_flags_shape_mismatch():
@@ -157,7 +162,7 @@ def test_validate_flags_shape_mismatch():
     key = next(k for k in store.keys() if k.endswith("/kernel"))
     store[key] = np.zeros((1, 1, 1, 1), np.float32)
     with pytest.raises(ShapeError, match=key):
-        validate_weights(model.graph, store)
+        check_weights(model.graph, store)
 
 
 # --- PPM / PGM ------------------------------------------------------------------
