@@ -12,11 +12,11 @@ import numpy as np
 from . import selftest as selftest_mod
 from .arch import build_model, load_config
 from .cost import (
-    DEFAULT_POLICY, INCLUSIVE_POLICY, STAGES, ablation_report, count_model,
+    ABLATION_AXES, DEFAULT_POLICY, INCLUSIVE_POLICY, STAGES, ablation_report, count_model,
     render_ablation_csv, render_ablation_text, render_report_csv, render_report_text,
 )
 from .errors import ConfigError, MosaicError
-from .graph import check_weights, describe_lines, execute
+from .graph import describe_lines, execute
 from .images import read_image_ppm, write_labelmap_pgm
 from .kernels import argmax_channels
 from .weights import init_weights, load_weights, seeded_rng
@@ -24,9 +24,7 @@ from .weights import init_weights, load_weights, seeded_rng
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
 
-
-def _policy(args):
-    return INCLUSIVE_POLICY if getattr(args, "policy", "default") == "include-everything" else DEFAULT_POLICY
+POLICIES = {p.name: p for p in (DEFAULT_POLICY, INCLUSIVE_POLICY)}
 
 
 def cmd_describe(args) -> int:
@@ -47,7 +45,7 @@ def cmd_describe(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = load_config(args.config)
-    report = count_model(build_model(cfg), policy=_policy(args))
+    report = count_model(build_model(cfg), policy=POLICIES[args.policy])
     print(render_report_csv(report) if args.csv else render_report_text(report))
     return 0
 
@@ -56,7 +54,7 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if not args.variants:
         raise ConfigError("ablate needs at least one --variants token")
-    rows = ablation_report(cfg, args.axis, args.variants, policy=_policy(args))
+    rows = ablation_report(cfg, args.axis, args.variants, policy=POLICIES[args.policy])
     print(render_ablation_csv(rows) if args.csv else render_ablation_text(rows))
     return 0
 
@@ -75,7 +73,6 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     if args.weights is not None:
         store = load_weights(args.weights)
-        check_weights(model.graph, store)
     else:
         store = init_weights(model, args.seed)
     timings.append(("weights", time.perf_counter() - start))
@@ -125,16 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="multiply-add and parameter report")
     p.add_argument("config")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of aligned text")
-    p.add_argument("--policy", choices=("default", "include-everything"), default="default")
+    p.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY.name)
     p.set_defaults(fn=cmd_cost)
 
     p = sub.add_parser("ablate", help="cost totals across configuration variants")
     p.add_argument("config")
-    p.add_argument("--axis", required=True,
-                   choices=("encoder_filters", "decoder_filters", "pyramid", "skips"))
+    p.add_argument("--axis", required=True, choices=ABLATION_AXES)
     p.add_argument("--variants", nargs="+", required=True, metavar="TOKEN")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--policy", choices=("default", "include-everything"), default="default")
+    p.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY.name)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("run", help="forward pass producing a PGM label map")
@@ -160,7 +156,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except BrokenPipeError:
         return RUNTIME_EXIT
-    except (MosaicError, OSError) as exc:
+    except (MosaicError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import ConvParams, TensorShape, shape_of
+from .tensor import ConvParams, TensorShape, require_finite, shape_of
 
 NODE_KINDS = (
     "Input",
@@ -325,18 +325,13 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         for name in topo_order(graph):
             spec = graph.nodes[name]
-            if spec.kind == "Input":
-                out = np.asarray(x, dtype=np.float32)
-            else:
-                ins = [values[r] for r in graph.inputs[name]]
-                try:
-                    out = _run_node(spec, ins, weights)
-                except NumericError as exc:
-                    # kernels check their outputs, so a non-finite input comes from the Input node
-                    culprit = next(
-                        (r for r, v in zip(graph.inputs[name], ins) if not np.isfinite(v).all()), name
-                    )
-                    raise NumericError(f"node {culprit} ({graph.nodes[culprit].kind}): {exc}") from exc
+            try:
+                if spec.kind == "Input":
+                    out = require_finite(np.asarray(x, dtype=np.float32), "input")
+                else:
+                    out = _run_node(spec, [values[r] for r in graph.inputs[name]], weights)
+            except NumericError as exc:
+                raise NumericError(f"node {name} ({spec.kind}): {exc}") from exc
             if spec.kind != "Argmax":
                 got = shape_of(out)
                 if got != shapes[name]:

@@ -19,6 +19,9 @@ and the cost model:
 * Average-pool grids use floor-based bin edges floor(i*size/grid), which tile
   the input exactly for any size/grid combination.
 * argmax breaks ties toward the lowest channel index.
+* Kernels assume finite inputs. A kernel that can turn finite inputs into a
+  non-finite value (conv, depthwise, pooling, resize, add, affine) checks its
+  output with ``require_finite``; ReLU, concat and argmax check nothing.
 
 All kernels are pure functions of their arguments and never mutate inputs.
 """

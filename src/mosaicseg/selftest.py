@@ -249,11 +249,13 @@ def _check_cost_oracle(n_cases=30, seed=17):
     return True, f"{n_cases} random specs, exact integer match"
 
 
-def _ordering(rows):
+def ordering(rows):
+    """The labels of (label, value) rows in ascending value order."""
     return [label for label, _ in sorted(rows, key=lambda kv: kv[1])]
 
 
-def _has_os2_skip(token):
+def has_os2_skip(token):
+    """Whether a skip-ablation token merges an output-stride-2 tap."""
     return token != "0" and any(parse_skip(t).output_stride == 2 for t in token.split(","))
 
 
@@ -264,11 +266,11 @@ def _check_skip_ordering():
     base = cityscapes_config()
     tokens = reference.sorted_by_reference(reference.SKIP_VARIANTS_B)
     madds = {r.label: r.madds for r in ablation_report(base, "skips", tokens)}
-    os2 = [t for t in tokens if _has_os2_skip(t)]
+    os2 = [t for t in tokens if has_os2_skip(t)]
     want = reference.sorted_by_reference(
         {t: v for t, v in reference.SKIP_VARIANTS_B.items() if t not in os2}
     )
-    got = _ordering([(t, madds[t]) for t in tokens if t not in os2])
+    got = ordering([(t, madds[t]) for t in tokens if t not in os2])
     if got == want:
         return True, (
             f"skip-variant totals follow the published order over the {len(want)} "
@@ -291,7 +293,7 @@ def _check_filter_ordering():
         )
         totals[(enc, dec)] = count_config(cfg).total_madds
     want = reference.sorted_by_reference(reference.FILTER_VARIANTS_B)
-    got = _ordering(totals.items())
+    got = ordering(totals.items())
     if got == want:
         return True, "filter-variant totals follow the published order"
     return False, (
@@ -305,7 +307,7 @@ def _check_pyramid_ordering():
     base = cityscapes_config()
     tokens = reference.sorted_by_reference(reference.PYRAMID_VARIANTS_B)
     rows = ablation_report(base, "pyramid", tokens)
-    got = _ordering([(r.label, r.madds) for r in rows])
+    got = ordering([(r.label, r.madds) for r in rows])
     if got == tokens:
         return True, "pyramid-variant totals follow the published order"
     return False, f"computed order {got} != published {tokens}"
@@ -314,8 +316,8 @@ def _check_pyramid_ordering():
 def _check_policy_invariance():
     base = cityscapes_config()
     tokens = list(reference.SKIP_VARIANTS_B)
-    plain = _ordering([(r.label, r.madds) for r in ablation_report(base, "skips", tokens)])
-    full = _ordering(
+    plain = ordering([(r.label, r.madds) for r in ablation_report(base, "skips", tokens)])
+    full = ordering(
         [(r.label, r.madds) for r in ablation_report(base, "skips", tokens, INCLUSIVE_POLICY)]
     )
     if plain == full:

@@ -3,6 +3,8 @@
 Feature maps are dense rank-3 numpy arrays of float32 laid out (row, column,
 channel). Label maps are rank-2 int32 arrays. Helpers here validate those
 conventions at module boundaries; the kernels assume validated inputs.
+Finiteness is checked once per value, by ``require_finite`` where the value
+is made, never again by its consumers.
 """
 
 from dataclasses import dataclass
@@ -59,14 +61,12 @@ class ConvParams:
 
 
 def as_feature_map(x, name: str = "input") -> np.ndarray:
-    """Validate and return a (h, w, c) float32 array."""
+    """Validate the rank and return a (h, w, c) float32 array."""
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"{name} must be rank-3 (h, w, c), got rank {x.ndim}")
     if x.dtype != np.float32:
         x = x.astype(np.float32)
-    if not np.isfinite(x).all():
-        raise NumericError(f"{name} contains non-finite values")
     return x
 
 

@@ -27,16 +27,15 @@ import numpy as np
 import pytest
 
 from mosaicseg import kernels, reference
-from mosaicseg.arch import (
-    ade20k_config, build_backbone, cityscapes_config, dump_config, parse_skip,
-)
+from mosaicseg.arch import ade20k_config, build_backbone, cityscapes_config, dump_config
 from mosaicseg.cli import main as cli_main
 from mosaicseg.cost import DEFAULT_POLICY, ablation_report, count_config, count_node
 from mosaicseg.graph import Graph, NodeSpec, infer_shapes
 from mosaicseg.images import read_labelmap_pgm
 from mosaicseg.metrics import compute_miou
 from mosaicseg.selftest import (
-    avg_pool_loops, conv2d_loops, depthwise_loops, random_conv_spec, resize_loops,
+    avg_pool_loops, conv2d_loops, depthwise_loops, has_os2_skip, ordering, random_conv_spec,
+    resize_loops,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
 
@@ -93,10 +92,6 @@ def test_c2_ade20k_madds():
 
 # -- criterion 3: published-ordering reproduction -------------------------------
 
-def _ordered_labels(pairs):
-    return [label for label, _ in sorted(pairs, key=lambda kv: kv[1])]
-
-
 def test_c3_filter_table_ordering():
     base = cityscapes_config()
     totals = []
@@ -108,7 +103,7 @@ def test_c3_filter_table_ordering():
         )
         totals.append(((enc, dec), count_config(cfg).total_madds))
     want = reference.sorted_by_reference(reference.FILTER_VARIANTS_B)
-    got = _ordered_labels(totals)
+    got = ordering(totals)
     ok = got == want
     report("3a filter-ordering", ok, f"computed {got}")
     assert got == want, (
@@ -126,14 +121,10 @@ def test_c3_pyramid_table_ordering():
     base = cityscapes_config()
     tokens = reference.sorted_by_reference(reference.PYRAMID_VARIANTS_B)
     rows = ablation_report(base, "pyramid", tokens)
-    got = _ordered_labels([(r.label, r.madds) for r in rows])
+    got = ordering([(r.label, r.madds) for r in rows])
     ok = got == tokens
     report("3b pyramid-ordering", ok, f"computed {got}")
     assert got == tokens
-
-
-def _has_os2_skip(token):
-    return token != "0" and any(parse_skip(t).output_stride == 2 for t in token.split(","))
 
 
 def test_c3_skip_table_ordering():
@@ -152,11 +143,11 @@ def test_c3_skip_table_ordering():
     base = cityscapes_config()
     tokens = reference.sorted_by_reference(reference.SKIP_VARIANTS_B)
     madds = {r.label: r.madds for r in ablation_report(base, "skips", tokens)}
-    os2 = [t for t in tokens if _has_os2_skip(t)]
+    os2 = [t for t in tokens if has_os2_skip(t)]
     want = reference.sorted_by_reference(
         {t: v for t, v in reference.SKIP_VARIANTS_B.items() if t not in os2}
     )
-    got = _ordered_labels([(t, madds[t]) for t in tokens if t not in os2])
+    got = ordering([(t, madds[t]) for t in tokens if t not in os2])
     ok = got == want
     os2_detail = "; ".join(
         f"{t!r} computed {madds[t] / 1e9:.3f} B vs published "

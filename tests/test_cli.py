@@ -212,8 +212,32 @@ def test_run_non_utf8_weight_name_exit_1(capsys, tiny_conf, tmp_path):
     assert "Traceback" not in err
 
 
+def test_run_classifier_store_for_other_config_exit_1(capsys, tiny_conf, tmp_path):
+    other = parse_config(TINY.replace("num_classes=5", "num_classes=7"))
+    weights_path = tmp_path / "w.mosw"
+    save_weights(init_weights(build_model(other), 3), weights_path)
+    code, _, err = run_cli(
+        capsys, "run", tiny_conf, "--weights", str(weights_path), "--seed", "1",
+        "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    assert "does not match node spec" in err
+    assert "Traceback" not in err
+
+
+def test_run_resolution_beyond_memory_exit_1(capsys, tmp_path):
+    # the random input alone would need 96 PiB, beyond any address space
+    path = tmp_path / "big.conf"
+    path.write_text(TINY.replace("input_h=64\ninput_w=64", "input_h=67108864\ninput_w=67108864"))
+    code, _, err = run_cli(
+        capsys, "run", str(path), "--seed", "1", "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("role,value", [("kernel", np.inf), ("scale", 3e38)])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_non_finite_names_node_exit_1(capsys, tiny_conf, tmp_path, role, value):
     # an inf conv weight, or a BN scale that overflows float32, in the first such node
     store = init_weights(build_model(parse_config(TINY)), 3)

