@@ -67,6 +67,8 @@ def cmd_run(args) -> int:
 
     start = time.perf_counter()
     cfg = load_config(args.config)
+    if cfg.input_h * cfg.input_w * 3 * 4 > np.iinfo(np.intp).max:
+        raise ConfigError("input_h*input_w*3 float32 values exceed the addressable bytes")
     model = build_model(cfg)
     timings.append(("build", time.perf_counter() - start))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import ConvParams, TensorShape, require_finite, shape_of
+from .tensor import ConvParams, TensorShape, as_feature_map, require_finite, shape_of
 
 NODE_KINDS = (
     "Input",
@@ -253,14 +253,15 @@ def expected_weight_shape(spec: NodeSpec, role: str) -> tuple[int, ...]:
     raise ConfigError(f"node {spec.name} has no weight role {role!r}")
 
 
-def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
+def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.ndarray:
+    """Run one node; ``epilogue`` holds a conv kernel's fused affine and ReLU."""
     kind, p = spec.kind, spec.params
     if kind == "Conv":
         conv = p["conv"]
         bias = weights[f"{spec.name}/bias"] if p.get("bias", False) else None
-        return kernels.conv2d(ins[0], weights[f"{spec.name}/kernel"], bias, conv)
+        return kernels.conv2d(ins[0], weights[f"{spec.name}/kernel"], bias, conv, **epilogue)
     if kind == "DepthwiseConv":
-        return kernels.depthwise_conv2d(ins[0], weights[f"{spec.name}/kernel"], p["conv"])
+        return kernels.depthwise_conv2d(ins[0], weights[f"{spec.name}/kernel"], p["conv"], **epilogue)
     if kind == "AvgPoolGrid":
         return kernels.avg_pool_grid(ins[0], p["grid_h"], p["grid_w"])
     if kind == "GlobalPool":
@@ -304,13 +305,52 @@ def check_weights(graph: Graph, weights) -> None:
             raise ShapeError(f"weight {key}: shape {got} does not match node spec {shape}")
 
 
+def _fused_chains(graph: Graph, keep) -> dict[str, tuple[str, ...]]:
+    """The Conv or DepthwiseConv -> Affine (-> Relu) chains that run as one
+    kernel call, keyed by each member. A member is followed by the next only
+    when that is its one consumer and the member is not in ``keep``, so no
+    other node reads a value the chain never materializes."""
+    counts = graph.consumers()
+    user = {ref: name for name in graph.order for ref in graph.inputs[name]}
+
+    def next_member(name, kind):
+        if name in keep or counts[name] != 1 or graph.nodes[user[name]].kind != kind:
+            return None
+        return user[name]
+
+    chains: dict[str, tuple[str, ...]] = {}
+    for name in graph.order:
+        if graph.nodes[name].kind not in ("Conv", "DepthwiseConv"):
+            continue
+        affine = next_member(name, "Affine")
+        if affine is None:
+            continue
+        relu = next_member(affine, "Relu")
+        chain = (name, affine) if relu is None else (name, affine, relu)
+        for member in chain:
+            chains[member] = chain
+    return chains
+
+
+def _epilogue(chain: tuple[str, ...], weights) -> dict:
+    """The affine and ReLU arguments of a chain's conv kernel call."""
+    if len(chain) == 1:
+        return {}
+    affine = chain[1]
+    return {"affine": (weights[f"{affine}/scale"], weights[f"{affine}/bias"]),
+            "relu": len(chain) == 3}
+
+
 def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.ndarray]:
     """Run the graph; returns {name: value} for fetch (default: outputs + taps).
 
-    Intermediate buffers are dropped as soon as their last consumer ran. A
-    ``NumericError`` names the node that produced the non-finite value.
+    Each chain of :func:`_fused_chains` runs as one kernel call at its conv,
+    and all its members hold the one output array. Intermediate buffers are
+    dropped as soon as their last consumer ran. A ``NumericError`` names the
+    node that produced the non-finite value.
     """
-    shapes = infer_shapes(graph, shape_of(np.asarray(x)))
+    x = as_feature_map(x)
+    shapes = infer_shapes(graph, shape_of(x))
     check_weights(graph, weights)
     if fetch is None:
         fetch = list(dict.fromkeys(list(graph.outputs) + list(graph.taps.values())))
@@ -318,6 +358,7 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
         if name not in graph.nodes:
             raise ConfigError(f"fetch references unknown node {name!r}")
     keep = set(fetch)
+    chains = _fused_chains(graph, keep)
     remaining = graph.consumers()
 
     values: dict[str, np.ndarray] = {}
@@ -325,13 +366,18 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         for name in topo_order(graph):
             spec = graph.nodes[name]
+            chain = chains.get(name, (name,))
             try:
                 if spec.kind == "Input":
-                    out = require_finite(np.asarray(x, dtype=np.float32), "input")
-                else:
-                    out = _run_node(spec, [values[r] for r in graph.inputs[name]], weights)
+                    out = require_finite(x, "input")
+                elif name == chain[0]:
+                    ins = [values[r] for r in graph.inputs[name]]
+                    out = _run_node(spec, ins, weights, **_epilogue(chain, weights))
+                else:  # ran with the chain's conv; its input holds the same array
+                    out = values[graph.inputs[name][0]]
             except NumericError as exc:
-                raise NumericError(f"node {name} ({spec.kind}): {exc}") from exc
+                bad = graph.nodes[chain[exc.step]]
+                raise NumericError(f"node {bad.name} ({bad.kind}): {exc}") from exc
             if spec.kind != "Argmax":
                 got = shape_of(out)
                 if got != shapes[name]:

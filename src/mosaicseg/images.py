@@ -49,17 +49,23 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         raise FormatError(f"bad {kind} dimensions {w}x{h}")
     if maxval != 255:
         raise FormatError(f"unsupported bit depth: maxval {maxval}, expected 255")
-    need = h * w * channels
+    need = h * w * channels  # may be too large to format
+    if need > len(data) - offset:
+        raise FormatError(
+            f"truncated {kind} payload: {len(data) - offset} bytes, fewer than its header declares"
+        )
     payload = data[offset:offset + need]
-    if len(payload) != need:
-        raise FormatError(f"truncated {kind} payload: got {len(payload)} of {need} bytes")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+
+
+# x/127.5 - 1 in float64, rounded to float32, for each byte value x: a lookup
+# gives the same bits without three image-sized float64 temporaries
+_PIXEL_VALUES = (np.arange(256, dtype=np.float64) / 127.5 - 1.0).astype(np.float32)
 
 
 def read_image_ppm(path) -> np.ndarray:
     """Read an 8-bit binary PPM into a (h, w, 3) float32 map in [-1, 1]."""
-    pixels = _read_netpbm(path, b"P6", 3)
-    return (pixels.astype(np.float64) / 127.5 - 1.0).astype(np.float32)
+    return _PIXEL_VALUES[_read_netpbm(path, b"P6", 3)]
 
 
 def write_image_ppm(pixels: np.ndarray, path) -> None:

@@ -13,6 +13,13 @@ and the cost model:
   the preallocated float32 output. Every output element goes through the same
   IEEE operations, in the same order, as whole-array evaluation, so the
   results are bit-identical to it.
+* ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
+  ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
+  is in cache: the band is rounded to float32 and checked, then widened again
+  for the affine, rounded and checked, then clamped at zero. These are the
+  steps of ``relu(affine_channels(conv2d(...)))``, so the result has its bits
+  and its first error: a non-finite conv band raises at once, a non-finite
+  affine band only after every conv band has passed.
 * Bilinear resize defaults to corner-aligned sampling
   (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
   ``mode="half"`` selects half-pixel centers.
@@ -21,14 +28,15 @@ and the cost model:
 * argmax breaks ties toward the lowest channel index.
 * Kernels assume finite inputs. A kernel that can turn finite inputs into a
   non-finite value (conv, depthwise, pooling, resize, add, affine) checks its
-  output with ``require_finite``; ReLU, concat and argmax check nothing.
+  output once, conv and affine band by band; ReLU, concat and argmax check
+  nothing.
 
 All kernels are pure functions of their arguments and never mutate inputs.
 """
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .tensor import ConvParams, as_feature_map, require_finite
 
 VALID_RESIZE_MODES = ("corner", "half")
@@ -85,24 +93,49 @@ def _conv_args(fn: str, x, kernels, bias, params: ConvParams):
     return x, kernels, bias
 
 
-def conv2d(x, kernels, bias, params: ConvParams) -> np.ndarray:
+def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.ndarray:
     """Grouped 2-D convolution with SAME zero padding.
 
     ``kernels`` has layout (kernel_h, kernel_w, in_c/groups, out_c); group g
     reads input channels [g*ig, (g+1)*ig) and writes output channels
     [g*og, (g+1)*og). ``bias`` is a per-output-channel vector or None.
+    ``affine`` and ``relu`` are the optional epilogue (module docstring).
     """
     x, kernels, bias = _conv_args("conv2d", x, kernels, bias, params)
+    return _convolve("conv2d", x, kernels, bias, params, affine, relu)
+
+
+def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndarray:
+    """The banded convolution with its epilogue; a NumericError's ``step`` is
+    1 when the affine produced the non-finite value."""
+    if affine is not None:
+        affine = _affine_args(params.out_c, *affine)
     if params.is_depthwise:
-        out = _depthwise(x, kernels[:, :, 0, :], bias, params)
+        out, finite = _depthwise(x, kernels[:, :, 0, :], bias, params, fn, affine, relu)
     else:
-        out = _conv_gemm(x, kernels, bias, params)
-    return require_finite(out, "conv2d")
+        out, finite = _conv_gemm(x, kernels, bias, params, fn, affine, relu)
+    if not finite:
+        raise NumericError("affine_channels produced non-finite values", step=1)
+    return out
 
 
-def _conv_gemm(x, kernels, bias, params: ConvParams) -> np.ndarray:
+def _finish_band(acc, band, fn: str, affine, relu: bool) -> bool:
+    """Round the float64 accumulator ``acc`` into the float32 output ``band``
+    and check it for ``fn``, then apply the epilogue to the band in place,
+    using ``acc`` as the affine's float64 scratch. Returns whether the affine
+    left the band finite."""
+    band[...] = acc
+    require_finite(band, fn)
+    finite = affine is None or _affine_band(band, band, *affine, acc)
+    if relu:
+        np.maximum(band, np.float32(0.0), out=band)
+    return finite
+
+
+def _conv_gemm(x, kernels, bias, params: ConvParams, fn, affine, relu):
     """Per band: the im2col rows as (n, out_w, kernel_h, kernel_w, in_c)
-    float64, then one GEMM per group into the accumulator."""
+    float64, then one GEMM per group into the accumulator. Returns the output
+    and whether the affine kept it finite."""
     kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
     padded, out_h, out_w = _pad_input(x, params)
     ig = params.in_c // params.groups
@@ -117,6 +150,7 @@ def _conv_gemm(x, kernels, bias, params: ConvParams) -> np.ndarray:
     step = _band_rows(out_h, out_w * max(kh * kw * params.in_c, params.out_c))
     win_buf = np.empty((step, out_w, kh, kw, params.in_c))
     acc_buf = np.empty((step * out_w, params.out_c))
+    finite = True
     for r0 in range(0, out_h, step):
         n = min(step, out_h - r0)
         win, acc = win_buf[:n], acc_buf[:n * out_w]
@@ -128,13 +162,15 @@ def _conv_gemm(x, kernels, bias, params: ConvParams) -> np.ndarray:
             np.matmul(block, w64[g], out=acc[:, g * og:(g + 1) * og])
         if b64 is not None:
             acc += b64
-        out[r0:r0 + n] = acc.reshape(n, out_w, params.out_c)
-    return out
+        acc = acc.reshape(n, out_w, params.out_c)
+        finite &= _finish_band(acc, out[r0:r0 + n], fn, affine, relu)
+    return out, finite
 
 
-def _depthwise(x, kernels, bias, params: ConvParams) -> np.ndarray:
+def _depthwise(x, kernels, bias, params: ConvParams, fn, affine, relu):
     """Per band: a zero-padded float64 copy of the input rows the band reads,
-    then every tap in (ki, kj) order added onto a zero accumulator."""
+    then every tap in (ki, kj) order added onto a zero accumulator. Returns
+    the output and whether the affine kept it finite."""
     h, w, c = x.shape
     kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
     out_h, pad_t, _ = same_pad(h, kh, s, d)
@@ -147,6 +183,7 @@ def _depthwise(x, kernels, bias, params: ConvParams) -> np.ndarray:
     rows = np.zeros(((step - 1) * s + span, pad_l + w + pad_r, c))  # pad columns stay 0
     acc_buf = np.empty((step, out_w, c))
     tmp_buf = np.empty((step, out_w, c))
+    finite = True
     for r0 in range(0, out_h, step):
         n = min(step, out_h - r0)
         acc, tmp = acc_buf[:n], tmp_buf[:n]
@@ -163,20 +200,21 @@ def _depthwise(x, kernels, bias, params: ConvParams) -> np.ndarray:
                 acc += tmp
         if b64 is not None:
             acc += b64
-        out[r0:r0 + n] = acc
-    return out
+        finite &= _finish_band(acc, out[r0:r0 + n], fn, affine, relu)
+    return out, finite
 
 
-def depthwise_conv2d(x, kernels, params: ConvParams) -> np.ndarray:
+def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) -> np.ndarray:
     """Per-channel convolution with (kernel_h, kernel_w, c) or (kernel_h,
-    kernel_w, 1, c) kernels; output channel i depends only on input channel i."""
+    kernel_w, 1, c) kernels; output channel i depends only on input channel i.
+    ``affine`` and ``relu`` are the optional epilogue (module docstring)."""
     if not params.is_depthwise:
         raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
     kernels = np.asarray(kernels, dtype=np.float32)
     if kernels.ndim == 3:
         kernels = kernels[:, :, None, :]
     x, kernels, _ = _conv_args("depthwise_conv2d", x, kernels, None, params)
-    return require_finite(_depthwise(x, kernels[:, :, 0, :], None, params), "depthwise_conv2d")
+    return _convolve("depthwise_conv2d", x, kernels, None, params, affine, relu)
 
 
 def avg_pool_grid(x, grid_h: int, grid_w: int) -> np.ndarray:
@@ -284,27 +322,42 @@ def relu(x) -> np.ndarray:
     return np.maximum(x, np.float32(0.0))
 
 
-def affine_channels(x, scale, bias) -> np.ndarray:
-    """out[r, q, i] = scale[i] * x[r, q, i] + bias[i] (folded batch norm)."""
-    x = as_feature_map(x)
+def _affine_args(c: int, scale, bias):
+    """The float64 scale and bias of a per-channel affine over ``c`` channels."""
     scale = np.asarray(scale, dtype=np.float32)
     bias = np.asarray(bias, dtype=np.float32)
-    c = x.shape[2]
     if scale.shape != (c,) or bias.shape != (c,):
         raise ShapeError(
             f"affine_channels: scale/bias shapes {scale.shape}/{bias.shape} != ({c},)"
         )
-    s64, b64 = scale.astype(np.float64), bias.astype(np.float64)
-    h, w, _ = x.shape
+    return scale.astype(np.float64), bias.astype(np.float64)
+
+
+def _affine_band(src, dst, s64, b64, tmp) -> bool:
+    """dst = float32(float64(src) * s64 + b64) through the float64 ``tmp``;
+    ``dst`` may be ``src``. Returns whether ``dst`` is all finite."""
+    tmp[...] = src  # widening first is exact, and faster than a mixed-dtype multiply
+    tmp *= s64
+    tmp += b64
+    dst[...] = tmp
+    return bool(np.isfinite(dst).all())
+
+
+def affine_channels(x, scale, bias) -> np.ndarray:
+    """out[r, q, i] = scale[i] * x[r, q, i] + bias[i] (folded batch norm)."""
+    x = as_feature_map(x)
+    h, w, c = x.shape
+    s64, b64 = _affine_args(c, scale, bias)
     out = np.empty(x.shape, dtype=np.float32)
     step = _band_rows(h, w * c)
     tmp_buf = np.empty((step, w, c))
+    finite = True
     for r0 in range(0, h, step):
         tmp = tmp_buf[:min(step, h - r0)]
-        np.multiply(x[r0:r0 + step], s64, out=tmp)
-        tmp += b64
-        out[r0:r0 + step] = tmp
-    return require_finite(out, "affine_channels")
+        finite &= _affine_band(x[r0:r0 + step], out[r0:r0 + step], s64, b64, tmp)
+    if not finite:
+        raise NumericError("affine_channels produced non-finite values")
+    return out
 
 
 def argmax_channels(x) -> np.ndarray:

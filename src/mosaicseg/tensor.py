@@ -3,8 +3,8 @@
 Feature maps are dense rank-3 numpy arrays of float32 laid out (row, column,
 channel). Label maps are rank-2 int32 arrays. Helpers here validate those
 conventions at module boundaries; the kernels assume validated inputs.
-Finiteness is checked once per value, by ``require_finite`` where the value
-is made, never again by its consumers.
+Finiteness is checked once per value, by the kernel that makes it (with
+``require_finite`` or band by band), never again by its consumers.
 """
 
 from dataclasses import dataclass

@@ -3,7 +3,7 @@
 MOSW layout (all integers little-endian u32, payloads little-endian float32):
 
     magic "MOSW" | version | entry count
-    per entry: name length | name bytes (utf-8) | rank | dims... | payload
+    per entry: name length | name bytes (utf-8) | rank (<= 32) | dims... | payload
 
 Initialization draws conv kernels from a zero-mean normal with standard
 deviation 1/sqrt(fan_in) using NumPy's counter-based Philox4x32-10 generator
@@ -21,6 +21,7 @@ from .graph import Graph, expected_weight_shape, weight_roles
 
 MAGIC = b"MOSW"
 VERSION = 1
+MAX_RANK = 32  # numpy 1 arrays have at most 32 dimensions, numpy 2 arrays 64
 
 
 class WeightStore:
@@ -106,9 +107,11 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+        # n is a declared size and may be too large to format
+        if n > len(self.data) - self.pos:
             raise FormatError(
-                f"truncated weight file: needed {n} bytes for {what} at byte {self.pos}"
+                f"truncated weight file: {what} at byte {self.pos} runs past the "
+                f"{len(self.data) - self.pos} bytes left"
             )
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -141,6 +144,8 @@ def load_weights(path) -> WeightStore:
         if name in store:
             raise ConfigError(f"duplicate weight entry {name!r} at byte {r.pos}")
         rank = r.u32(f"entry {i} rank")
+        if rank > MAX_RANK:
+            raise FormatError(f"entry {name!r}: rank {rank} exceeds {MAX_RANK} at byte {r.pos - 4}")
         dims = tuple(r.u32(f"entry {i} dim") for _ in range(rank))
         n_values = 1
         for d in dims:

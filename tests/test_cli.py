@@ -237,6 +237,35 @@ def test_run_resolution_beyond_memory_exit_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_run_unaddressable_resolution_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.conf"
+    path.write_text(TINY.replace("input_h=64", "input_h=" + "1" + "0" * 30))
+    code, _, err = run_cli(
+        capsys, "run", str(path), "--seed", "1", "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "addressable" in err
+    assert "Traceback" not in err
+    for verb in ("describe", "cost"):
+        assert run_cli(capsys, verb, str(path))[0] == 0
+
+
+@pytest.mark.parametrize("flag", ["--weights", "--input"])
+def test_run_header_size_too_large_to_format_exit_1(capsys, tiny_conf, tmp_path, flag):
+    # a MOSW entry or PPM header whose declared byte count has over 4300 digits
+    path = tmp_path / "huge"
+    if flag == "--weights":
+        path.write_bytes(b"MOSW" + struct.pack("<IIIsI500I", 1, 1, 1, b"a", 500, *[0xFFFFFFFF] * 500))
+    else:
+        path.write_bytes(b"P6\n" + b"9" * 4001 + b" " + b"9" * 4001 + b"\n255\n" + bytes(12))
+    code, _, err = run_cli(
+        capsys, "run", tiny_conf, flag, str(path), "--seed", "1", "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("role,value", [("kernel", np.inf), ("scale", 3e38)])
 def test_run_non_finite_names_node_exit_1(capsys, tiny_conf, tmp_path, role, value):
     # an inf conv weight, or a BN scale that overflows float32, in the first such node

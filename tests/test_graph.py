@@ -10,7 +10,7 @@ from mosaicseg import kernels
 from mosaicseg.arch import ade20k_config, build_model
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
 from mosaicseg.graph import (
-    Graph, NodeSpec, describe_lines, execute, infer_shapes, topo_order,
+    Graph, NodeSpec, _fused_chains, describe_lines, execute, infer_shapes, topo_order,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
 from mosaicseg.weights import WeightStore, init_weights
@@ -164,7 +164,7 @@ def test_execute_matches_hand_composition(rng):
             kernels.conv2d(x, store["c/kernel"], None, params), store["a/scale"], store["a/bias"]
         )
     )
-    assert np.allclose(got, want, rtol=1e-6, atol=1e-7)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_execute_shape_agreement_random_graphs(rng):
@@ -321,9 +321,56 @@ def test_execute_float32_overflow_names_affine_node(rng):
         execute(g, store, x)
 
 
+def test_execute_conv_overflow_in_a_later_band_outranks_an_earlier_affine_overflow():
+    # unfused, the conv's whole output is checked before the affine runs, so
+    # the conv is named although the affine overflows first, in band 0
+    g = Graph()
+    c = g.add_node(conv_spec("c", 64, 64, k=1), (g.source,))
+    g.outputs = [g.add_node(NodeSpec("a", "Affine", {"channels": 64}), (c,))]
+    store = WeightStore()
+    store["c/kernel"] = (2 * np.eye(64, dtype=np.float32)).reshape(1, 1, 64, 64)
+    store["a/scale"] = np.full(64, 3e38, dtype=np.float32)
+    store["a/bias"] = np.zeros(64, dtype=np.float32)
+    x = np.ones((40, 128, 64), dtype=np.float32)
+    x[-1] = 3e38  # 6e38 after the conv
+    assert 40 > 2 * kernels._band_rows(40, 128 * 64)
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
+        execute(g, store, x)
+
+
+def test_execute_fetched_chain_member_runs_unfused_with_the_same_bits(rng):
+    g = Graph()
+    c = g.add_node(conv_spec("c", 8, 32), (g.source,))
+    a = g.add_node(NodeSpec("a", "Affine", {"channels": 32}), (c,))
+    r = g.add_node(NodeSpec("r", "Relu"), (a,))
+    store = WeightStore()
+    store["c/kernel"] = rng.standard_normal((3, 3, 8, 32)).astype(np.float32)
+    store["a/scale"] = rng.standard_normal(32).astype(np.float32)
+    store["a/bias"] = rng.standard_normal(32).astype(np.float32)
+    x = rng.standard_normal((80, 64, 8)).astype(np.float32)
+    assert 80 > 2 * kernels._band_rows(80, 64 * 3 * 3 * 8)
+    assert _fused_chains(g, {r})[c] == (c, a, r)
+    assert _fused_chains(g, {a, r})[c] == (c, a)
+    assert c not in _fused_chains(g, {c, r})
+    fused = execute(g, store, x, fetch=[r])[r]
+    for fetch in ([a, r], [c, r]):
+        got = execute(g, store, x, fetch=fetch)
+        assert np.array_equal(got[r].view(np.uint32), fused.view(np.uint32))
+    conv = kernels.conv2d(x, store["c/kernel"], None, g.nodes[c].params["conv"])
+    assert np.array_equal(got[c].view(np.uint32), conv.view(np.uint32))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 5, 5, 3)])
+def test_execute_rejects_input_of_wrong_rank(rng, shape):
+    g, store = conv_affine_graph(rng)
+    with pytest.raises(ShapeError, match=f"got rank {len(shape)}"):
+        execute(g, store, np.zeros(shape, dtype=np.float32))
+
+
 def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     # the input once, then the output of each kernel that can create a
-    # non-finite value; no kernel re-scans its inputs
+    # non-finite value; no kernel re-scans its inputs. Kernels scan band by
+    # band, so the scanned elements are counted, not the calls.
     checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "GlobalPool", "BilinearResize", "Add", "Affine")
     model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
     store = init_weights(model, 1)
@@ -342,7 +389,7 @@ def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
         n for n, spec in graph.nodes.items() if spec.kind in checked
         and not (spec.kind == "BilinearResize" and shapes[n] == shapes[graph.inputs[n][0]])
     ]
-    assert len(calls) == 1 + len(producers)
+    assert sum(int(np.prod(shape)) for shape in calls) == x.size + sum(shapes[n].count for n in producers)
 
 
 def test_describe_lines_cover_every_node():

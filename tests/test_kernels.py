@@ -512,3 +512,39 @@ def test_affine_bands_match_whole_array(rng):
     got = kernels.affine_channels(x, scale, bias)
     assert same_bits(got, oracles.affine_whole(x, scale, bias))
     assert same_bits(x, before)
+
+
+# (input shape, params) per conv path; every output spans at least three bands
+EPILOGUE_CASES = {
+    "pointwise": ((100, 64, 48), ConvParams(1, 1, 1, 1, 1, 48, 96)),
+    "kxk": ((200, 128, 8), ConvParams(3, 3, 2, 1, 2, 8, 16)),
+    "depthwise_s1": ((100, 64, 96), ConvParams(3, 3, 1, 1, 96, 96, 96)),
+    "depthwise_s2": ((200, 128, 96), ConvParams(3, 3, 2, 1, 96, 96, 96)),
+}
+
+
+@pytest.mark.parametrize("case", EPILOGUE_CASES)
+@pytest.mark.parametrize("with_relu", [False, True])
+def test_conv_epilogue_bands_match_unfused_kernels(rng, case, with_relu):
+    shape, params = EPILOGUE_CASES[case]
+    x = signed_zero_map(rng, *shape)
+    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
+    scale = rng.standard_normal(params.out_c).astype(np.float32)
+    scale[::7] = -0.0
+    bias = rng.standard_normal(params.out_c).astype(np.float32)
+    bias[::5] = 0.0
+    taps = params.kernel_h * params.kernel_w * params.in_c
+    assert_spans_bands(100, 64 * (params.out_c if params.is_depthwise else max(taps, params.out_c)))
+    before = x.copy()
+    if params.is_depthwise:
+        got = kernels.depthwise_conv2d(x, kern, params, affine=(scale, bias), relu=with_relu)
+        conv = oracles.depthwise_whole(x, kern, None, params)
+    else:
+        conv_bias = rng.standard_normal(params.out_c).astype(np.float32)
+        got = kernels.conv2d(x, kern, conv_bias, params, affine=(scale, bias), relu=with_relu)
+        conv = oracles.conv_whole(x, kern, conv_bias, params)
+    want = oracles.affine_whole(conv, scale, bias)
+    if with_relu:
+        want = kernels.relu(want)
+    assert same_bits(got, want)
+    assert same_bits(x, before)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,19 @@ def test_load_truncated_reports_offset(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize("rank,dim,match", [
+    (500, 0xFFFFFFFF, "rank 500 exceeds 32"),  # its payload size has over 4300 digits
+    (65, 1, "rank 65 exceeds 32"),  # beyond the dimensions numpy supports
+    (32, 0xFFFFFFFF, "truncated weight file: entry 0 payload"),
+])
+def test_load_rejects_huge_declared_entry(tmp_path, rank, dim, match):
+    path = tmp_path / "huge.mosw"
+    path.write_bytes(b"MOSW" + struct.pack(f"<IIIsI{rank}I", 1, 1, 1, b"a", rank, *[dim] * rank)
+                     + bytes(4))
+    with pytest.raises(FormatError, match=match):
+        load_weights(path)
+
+
 def test_load_duplicate_entries_rejected(tmp_path):
     import struct
     path = tmp_path / "dup.mosw"
@@ -185,6 +200,15 @@ def test_ppm_scaling_invertible_on_byte_lattice(tmp_path, rng):
     assert np.array_equal(recovered, pixels.astype(np.int64))
 
 
+def test_ppm_scaling_bits_match_float64_formula(tmp_path):
+    path = tmp_path / "img.ppm"
+    pixels = np.arange(256 * 3, dtype=np.uint16).astype(np.uint8).reshape(16, 16, 3)
+    write_image_ppm(pixels, path)
+    want = (pixels.astype(np.float64) / 127.5 - 1.0).astype(np.float32)
+    got = read_image_ppm(path)
+    assert got.dtype == np.float32 and np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_ppm_with_comment_header(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P6 # magic\n# a comment line\n2 1\n255\n" + bytes(6))
@@ -230,3 +254,13 @@ def test_pgm_rejects_bad_dimensions(tmp_path, dims):
     path.write_bytes(b"P5\n" + dims + b"\n255\n")
     with pytest.raises(FormatError, match="bad PGM dimensions"):
         read_labelmap_pgm(path)
+
+
+@pytest.mark.parametrize("magic,read", [(b"P6", read_image_ppm), (b"P5", read_labelmap_pgm)])
+def test_netpbm_rejects_dimensions_too_large_to_format(tmp_path, magic, read):
+    # their product has over 4300 digits
+    path = tmp_path / "huge.pnm"
+    digits = b"9" * 4001
+    path.write_bytes(magic + b"\n" + digits + b" " + digits + b"\n255\n" + bytes(12))
+    with pytest.raises(FormatError, match="truncated"):
+        read(path)
