@@ -141,6 +141,9 @@ class ModelConfig:
             raise ConfigError(f"m must be positive, got {self.m}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+        for key in ("input_h", "input_w"):
+            if getattr(self, key) < 16:
+                raise ConfigError(f"{key} must be at least 16, got {getattr(self, key)}")
         if self.input_h % 16 != 0 or self.input_w % 16 != 0:
             raise ConfigError(
                 f"input_h/input_w must be divisible by 16, got {self.input_h}x{self.input_w}"

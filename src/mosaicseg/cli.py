@@ -19,7 +19,7 @@ from .errors import ConfigError, MosaicError
 from .graph import describe_lines, execute
 from .images import read_image_ppm, write_labelmap_pgm
 from .kernels import argmax_channels
-from .weights import init_weights, load_weights, seeded_rng
+from .weights import init_weights, load_weights, require_drawable, seeded_rng
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
@@ -67,8 +67,11 @@ def cmd_run(args) -> int:
 
     start = time.perf_counter()
     cfg = load_config(args.config)
-    if cfg.input_h * cfg.input_w * 3 * 4 > np.iinfo(np.intp).max:
-        raise ConfigError("input_h*input_w*3 float32 values exceed the addressable bytes")
+    require_drawable(cfg.input_h * cfg.input_w * 3, "the input_h*input_w*3 input values")
+    if cfg.num_classes > 256:
+        raise ConfigError(
+            f"num_classes={cfg.num_classes}: a PGM label map stores at most 256 classes"
+        )
     model = build_model(cfg)
     timings.append(("build", time.perf_counter() - start))
 

@@ -18,15 +18,7 @@ class ConfigError(MosaicError):
 
 
 class NumericError(MosaicError):
-    """Non-finite values encountered where finite data is required.
-
-    ``step`` is the position, in a fused kernel call, of the step that
-    produced them: 0 for the kernel itself, 1 for its affine epilogue.
-    """
-
-    def __init__(self, message: str, step: int = 0):
-        super().__init__(message)
-        self.step = step
+    """Non-finite values encountered where finite data is required."""
 
 
 class FormatError(MosaicError):

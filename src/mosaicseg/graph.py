@@ -347,7 +347,9 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     Each chain of :func:`_fused_chains` runs as one kernel call at its conv,
     and all its members hold the one output array. Intermediate buffers are
     dropped as soon as their last consumer ran. A ``NumericError`` names the
-    node that produced the non-finite value.
+    node that produced the non-finite value: a chain whose call fails is
+    dropped from the plan and its conv rerun unfused, so its members run as
+    ordinary nodes and the first to fail is named.
     """
     x = as_feature_map(x)
     shapes = infer_shapes(graph, shape_of(x))
@@ -366,18 +368,23 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         for name in topo_order(graph):
             spec = graph.nodes[name]
-            chain = chains.get(name, (name,))
-            try:
-                if spec.kind == "Input":
-                    out = require_finite(x, "input")
-                elif name == chain[0]:
-                    ins = [values[r] for r in graph.inputs[name]]
-                    out = _run_node(spec, ins, weights, **_epilogue(chain, weights))
-                else:  # ran with the chain's conv; its input holds the same array
-                    out = values[graph.inputs[name][0]]
-            except NumericError as exc:
-                bad = graph.nodes[chain[exc.step]]
-                raise NumericError(f"node {bad.name} ({bad.kind}): {exc}") from exc
+            while True:
+                chain = chains.get(name, (name,))
+                try:
+                    if spec.kind == "Input":
+                        out = require_finite(x, "input")
+                    elif name == chain[0]:
+                        ins = [values[r] for r in graph.inputs[name]]
+                        out = _run_node(spec, ins, weights, **_epilogue(chain, weights))
+                    else:  # ran with the chain's conv; its input holds the same array
+                        out = values[graph.inputs[name][0]]
+                    break
+                except NumericError as exc:
+                    if len(chain) == 1:
+                        raise NumericError(f"node {name} ({spec.kind}): {exc}") from exc
+                # rerun outside the handler, whose traceback holds the failed call's output
+                for member in chain:
+                    del chains[member]
             if spec.kind != "Argmax":
                 got = shape_of(out)
                 if got != shapes[name]:

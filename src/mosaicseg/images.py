@@ -42,8 +42,11 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     if tokens[0] != magic:
         raise FormatError(f"unsupported magic {tokens[0]!r}, expected {magic.decode()}")
     try:
+        # int() also takes b"+1" and b"1_0"; a negative value fails the range checks
+        if not all(t.removeprefix(b"-").isdigit() for t in tokens[1:]):
+            raise ValueError
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
+    except ValueError:  # a non-digit, or more digits than int() converts
         raise FormatError(f"non-numeric {kind} header fields") from None
     if w < 1 or h < 1:
         raise FormatError(f"bad {kind} dimensions {w}x{h}")
@@ -54,8 +57,9 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         raise FormatError(
             f"truncated {kind} payload: {len(data) - offset} bytes, fewer than its header declares"
         )
-    payload = data[offset:offset + need]
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+    if need < len(data) - offset:
+        raise FormatError(f"trailing garbage at byte {offset + need}")
+    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w, channels)
 
 
 # x/127.5 - 1 in float64, rounded to float32, for each byte value x: a lookup

@@ -12,14 +12,16 @@ and the cost model:
   ``_BAND_BYTES``, are reused from band to band, and are rounded straight into
   the preallocated float32 output. Every output element goes through the same
   IEEE operations, in the same order, as whole-array evaluation, so the
-  results are bit-identical to it.
+  results are bit-identical to it. Every conv kind runs through one band loop,
+  which pads per band: it copies the input rows a band reads into a
+  zero-padded float64 buffer, never padding the whole input.
 * ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32 and checked, then widened again
   for the affine, rounded and checked, then clamped at zero. These are the
-  steps of ``relu(affine_channels(conv2d(...)))``, so the result has its bits
-  and its first error: a non-finite conv band raises at once, a non-finite
-  affine band only after every conv band has passed.
+  steps of ``relu(affine_channels(conv2d(...)))``, so the result has its bits.
+  The first non-finite band raises, whichever step produced it; the unfused
+  kernels instead check the whole conv output before the affine runs.
 * Bilinear resize defaults to corner-aligned sampling
   (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
   ``mode="half"`` selects half-pixel centers.
@@ -36,7 +38,7 @@ All kernels are pure functions of their arguments and never mutate inputs.
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import ConvParams, as_feature_map, require_finite
 
 VALID_RESIZE_MODES = ("corner", "half")
@@ -57,16 +59,6 @@ def same_pad(size: int, kernel: int, stride: int, dilation: int) -> tuple[int, i
     total = max((out - 1) * stride + effective - size, 0)
     before = total // 2
     return out, before, total - before
-
-
-def _pad_input(x: np.ndarray, params: ConvParams) -> tuple[np.ndarray, int, int]:
-    h, w, _ = x.shape
-    out_h, pad_t, pad_b = same_pad(h, params.kernel_h, params.stride, params.dilation)
-    out_w, pad_l, pad_r = same_pad(w, params.kernel_w, params.stride, params.dilation)
-    if pad_t == pad_b == pad_l == pad_r == 0:
-        return x, out_h, out_w
-    padded = np.pad(x, ((pad_t, pad_b), (pad_l, pad_r), (0, 0)))
-    return padded, out_h, out_w
 
 
 def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: ConvParams) -> np.ndarray:
@@ -106,102 +98,81 @@ def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.
 
 
 def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndarray:
-    """The banded convolution with its epilogue; a NumericError's ``step`` is
-    1 when the affine produced the non-finite value."""
-    if affine is not None:
-        affine = _affine_args(params.out_c, *affine)
-    if params.is_depthwise:
-        out, finite = _depthwise(x, kernels[:, :, 0, :], bias, params, fn, affine, relu)
-    else:
-        out, finite = _conv_gemm(x, kernels, bias, params, fn, affine, relu)
-    if not finite:
-        raise NumericError("affine_channels produced non-finite values", step=1)
-    return out
-
-
-def _finish_band(acc, band, fn: str, affine, relu: bool) -> bool:
-    """Round the float64 accumulator ``acc`` into the float32 output ``band``
-    and check it for ``fn``, then apply the epilogue to the band in place,
-    using ``acc`` as the affine's float64 scratch. Returns whether the affine
-    left the band finite."""
-    band[...] = acc
-    require_finite(band, fn)
-    finite = affine is None or _affine_band(band, band, *affine, acc)
-    if relu:
-        np.maximum(band, np.float32(0.0), out=band)
-    return finite
-
-
-def _conv_gemm(x, kernels, bias, params: ConvParams, fn, affine, relu):
-    """Per band: the im2col rows as (n, out_w, kernel_h, kernel_w, in_c)
-    float64, then one GEMM per group into the accumulator. Returns the output
-    and whether the affine kept it finite."""
-    kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
-    padded, out_h, out_w = _pad_input(x, params)
-    ig = params.in_c // params.groups
-    og = params.out_c // params.groups
-    taps = kh * kw * ig
-    w64 = [
-        kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(taps, og)
-        for g in range(params.groups)
-    ]
-    b64 = None if bias is None else bias.astype(np.float64)
-    out = np.empty((out_h, out_w, params.out_c), dtype=np.float32)
-    step = _band_rows(out_h, out_w * max(kh * kw * params.in_c, params.out_c))
-    win_buf = np.empty((step, out_w, kh, kw, params.in_c))
-    acc_buf = np.empty((step * out_w, params.out_c))
-    finite = True
-    for r0 in range(0, out_h, step):
-        n = min(step, out_h - r0)
-        win, acc = win_buf[:n], acc_buf[:n * out_w]
-        for ki in range(kh):
-            for kj in range(kw):
-                win[:, :, ki, kj] = _tap(padded, r0 * s + ki * d, n, out_w, kj, params)
-        for g in range(params.groups):
-            block = win[:, :, :, :, g * ig:(g + 1) * ig].reshape(n * out_w, taps)
-            np.matmul(block, w64[g], out=acc[:, g * og:(g + 1) * og])
-        if b64 is not None:
-            acc += b64
-        acc = acc.reshape(n, out_w, params.out_c)
-        finite &= _finish_band(acc, out[r0:r0 + n], fn, affine, relu)
-    return out, finite
-
-
-def _depthwise(x, kernels, bias, params: ConvParams, fn, affine, relu):
-    """Per band: a zero-padded float64 copy of the input rows the band reads,
-    then every tap in (ki, kj) order added onto a zero accumulator. Returns
-    the output and whether the affine kept it finite."""
-    h, w, c = x.shape
+    """The banded convolution of every kind, with its epilogue. Per band: a
+    zero-padded float64 copy of the input rows the band reads, the kind's
+    accumulation into a float64 accumulator, the bias, then ``_finish_band``.
+    A depthwise band adds every tap, in (ki, kj) order, onto a zeroed
+    accumulator; any other band multiplies its im2col rows, laid out (n, out_w,
+    kernel_h, kernel_w, in_c), by each group's kernels."""
+    h, w, in_c = x.shape
     kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
     out_h, pad_t, _ = same_pad(h, kh, s, d)
     out_w, pad_l, pad_r = same_pad(w, kw, s, d)
-    k64 = kernels.astype(np.float64)
+    c = params.out_c
+    if affine is not None:
+        affine = _affine_args(c, *affine)
+    if params.is_depthwise:
+        k64 = kernels[:, :, 0, :].astype(np.float64)
+        step = _band_rows(out_h, out_w * c)
+    else:
+        ig, og = in_c // params.groups, c // params.groups
+        taps = kh * kw * ig
+        w64 = [kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(taps, og)
+               for g in range(params.groups)]
+        step = _band_rows(out_h, out_w * max(kh * kw * in_c, c))
     b64 = None if bias is None else bias.astype(np.float64)
     out = np.empty((out_h, out_w, c), dtype=np.float32)
-    step = _band_rows(out_h, out_w * c)
+    # a 1x1 stride-1 band is its own im2col block
+    im2col = not (params.is_depthwise or kh == kw == s == 1)
+    win_buf = np.empty((step, out_w, kh, kw, in_c)) if im2col else None
     span = (kh - 1) * d + 1
-    rows = np.zeros(((step - 1) * s + span, pad_l + w + pad_r, c))  # pad columns stay 0
+    # pad columns stay 0; so do top pad rows, which only ever shrink from band to band
+    rows = np.zeros(((step - 1) * s + span, pad_l + w + pad_r, in_c))
     acc_buf = np.empty((step, out_w, c))
-    tmp_buf = np.empty((step, out_w, c))
-    finite = True
+    tmp_buf = np.empty((step, out_w, c)) if params.is_depthwise else None
     for r0 in range(0, out_h, step):
         n = min(step, out_h - r0)
-        acc, tmp = acc_buf[:n], tmp_buf[:n]
+        acc = acc_buf[:n]
         first = r0 * s - pad_t  # input row of the band's first padded row
         band = rows[:(n - 1) * s + span]
         lo, hi = max(first, 0), min(first + len(band), h)
-        band[:lo - first] = 0.0
         band[lo - first:hi - first, pad_l:pad_l + w] = x[lo:hi]
         band[hi - first:] = 0.0
-        acc.fill(0.0)
-        for ki in range(kh):
-            for kj in range(kw):
-                np.multiply(_tap(band, ki * d, n, out_w, kj, params), k64[ki, kj], out=tmp)
-                acc += tmp
+        if params.is_depthwise:
+            tmp = tmp_buf[:n]
+            acc.fill(0.0)
+            for ki in range(kh):
+                for kj in range(kw):
+                    np.multiply(_tap(band, ki * d, n, out_w, kj, params), k64[ki, kj], out=tmp)
+                    acc += tmp
+        else:
+            win = band
+            if win_buf is not None:
+                win = win_buf[:n]
+                for ki in range(kh):
+                    for kj in range(kw):
+                        win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, params)
+            flat = acc.reshape(n * out_w, c)
+            for g in range(params.groups):
+                block = win[..., g * ig:(g + 1) * ig].reshape(n * out_w, taps)
+                np.matmul(block, w64[g], out=flat[:, g * og:(g + 1) * og])
         if b64 is not None:
             acc += b64
-        finite &= _finish_band(acc, out[r0:r0 + n], fn, affine, relu)
-    return out, finite
+        _finish_band(acc, out[r0:r0 + n], fn, affine, relu)
+    return out
+
+
+def _finish_band(acc, band, fn: str, affine, relu: bool):
+    """Round the float64 accumulator ``acc`` into the float32 output ``band``
+    and check it for ``fn``, then apply the epilogue to the band in place,
+    using ``acc`` as the affine's float64 scratch. The affine's result is
+    checked before the ReLU, which would turn -inf into 0."""
+    band[...] = acc
+    require_finite(band, fn)
+    if affine is not None:
+        _affine_band(band, band, *affine, acc)
+    if relu:
+        np.maximum(band, np.float32(0.0), out=band)
 
 
 def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) -> np.ndarray:
@@ -333,14 +304,14 @@ def _affine_args(c: int, scale, bias):
     return scale.astype(np.float64), bias.astype(np.float64)
 
 
-def _affine_band(src, dst, s64, b64, tmp) -> bool:
-    """dst = float32(float64(src) * s64 + b64) through the float64 ``tmp``;
-    ``dst`` may be ``src``. Returns whether ``dst`` is all finite."""
+def _affine_band(src, dst, s64, b64, tmp):
+    """dst = float32(float64(src) * s64 + b64) through the float64 ``tmp``,
+    checked; ``dst`` may be ``src``."""
     tmp[...] = src  # widening first is exact, and faster than a mixed-dtype multiply
     tmp *= s64
     tmp += b64
     dst[...] = tmp
-    return bool(np.isfinite(dst).all())
+    require_finite(dst, "affine_channels")
 
 
 def affine_channels(x, scale, bias) -> np.ndarray:
@@ -351,12 +322,9 @@ def affine_channels(x, scale, bias) -> np.ndarray:
     out = np.empty(x.shape, dtype=np.float32)
     step = _band_rows(h, w * c)
     tmp_buf = np.empty((step, w, c))
-    finite = True
     for r0 in range(0, h, step):
         tmp = tmp_buf[:min(step, h - r0)]
-        finite &= _affine_band(x[r0:r0 + step], out[r0:r0 + step], s64, b64, tmp)
-    if not finite:
-        raise NumericError("affine_channels produced non-finite values")
+        _affine_band(x[r0:r0 + step], out[r0:r0 + step], s64, b64, tmp)
     return out
 
 

@@ -12,6 +12,7 @@ is 1, all biases are 0. The generator choice is part of the format contract:
 the same seed reproduces the same store bit-for-bit.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -66,6 +67,13 @@ def seeded_rng(seed: int) -> "np.random.Generator":  # numpy.random loads on fir
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def require_drawable(n_values: int, what: str) -> None:
+    """Raise ConfigError when ``n_values`` float64 draws, which are rounded to
+    float32 afterwards, exceed the addressable bytes."""
+    if n_values * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} exceed the addressable bytes")
+
+
 def init_weights(model_or_graph, seed: int) -> WeightStore:
     """Seeded Philox initialization for every parameterized node."""
     graph: Graph = getattr(model_or_graph, "graph", model_or_graph)
@@ -75,6 +83,7 @@ def init_weights(model_or_graph, seed: int) -> WeightStore:
         spec = graph.nodes[name]
         for role in weight_roles(spec):
             shape = expected_weight_shape(spec, role)
+            require_drawable(math.prod(shape), f"the values of weight entry '{name}/{role}'")
             if role == "kernel":
                 conv = spec.params["conv"]
                 fan_in = conv.kernel_h * conv.kernel_w * (conv.in_c // conv.groups)
@@ -142,7 +151,7 @@ def load_weights(path) -> WeightStore:
                 f"entry {i} name is not valid UTF-8 at byte {r.pos - name_len + exc.start}"
             ) from None
         if name in store:
-            raise ConfigError(f"duplicate weight entry {name!r} at byte {r.pos}")
+            raise FormatError(f"duplicate weight entry {name!r} at byte {r.pos}")
         rank = r.u32(f"entry {i} rank")
         if rank > MAX_RANK:
             raise FormatError(f"entry {name!r}: rank {rank} exceeds {MAX_RANK} at byte {r.pos - 4}")

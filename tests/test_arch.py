@@ -366,6 +366,13 @@ def test_model_node_count_matches_block_tally():
     assert len(model.graph.order) == 1 + backbone + encoder + decoder + head
 
 
+@pytest.mark.parametrize("key,value", [("input_h", 0), ("input_w", -16)])
+def test_model_rejects_input_smaller_than_16(key, value):
+    # 0 and -16 are divisible by 16
+    with pytest.raises(ConfigError, match=f"^{key} must be at least 16, got {value}$"):
+        replace(ModelConfig(), **{key: value}).validate()
+
+
 def test_model_rejects_input_not_divisible_by_16():
     with pytest.raises(ConfigError, match="divisible"):
         build_model(replace(cityscapes_config(), input_h=500, input_w=500))

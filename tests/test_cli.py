@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import struct
 
 import numpy as np
@@ -248,6 +249,55 @@ def test_run_unaddressable_resolution_exit_2(capsys, tmp_path):
     assert "Traceback" not in err
     for verb in ("describe", "cost"):
         assert run_cli(capsys, verb, str(path))[0] == 0
+
+
+def test_run_input_draw_beyond_addressable_bytes_exit_2(capsys, tmp_path):
+    # 2**30 x 2**29 x 3 float32 values fit in the address space, the float64
+    # values they are drawn as do not
+    path = tmp_path / "huge.conf"
+    path.write_text(TINY.replace("input_h=64\ninput_w=64", "input_h=1073741824\ninput_w=536870912"))
+    code, _, err = run_cli(
+        capsys, "run", str(path), "--seed", "1", "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "addressable" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["m", "enc_filters", "dec_filters"])
+def test_run_weight_entry_beyond_addressable_bytes_exit_2(capsys, tmp_path, key):
+    path = tmp_path / "huge.conf"
+    path.write_text(re.sub(rf"^{key}=\d+", f"{key}={10**20}", TINY, flags=re.M))
+    assert run_cli(capsys, "cost", str(path))[0] == 0
+    code, _, err = run_cli(
+        capsys, "run", str(path), "--seed", "1", "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "weight entry" in err and "addressable" in err
+    assert "Traceback" not in err
+
+
+def test_run_more_classes_than_pgm_stores_exit_2(capsys, tmp_path):
+    path = tmp_path / "classes.conf"
+    path.write_text(TINY.replace("num_classes=5", "num_classes=300"))
+    out = tmp_path / "out.pgm"
+    code, _, err = run_cli(capsys, "run", str(path), "--seed", "1", "--output", str(out))
+    assert code == 2
+    assert err.startswith("error: num_classes=300")
+    assert not out.exists()
+    for verb in ("describe", "cost"):
+        assert run_cli(capsys, verb, str(path))[0] == 0
+
+
+def test_run_duplicate_weight_entry_exit_1(capsys, tiny_conf, tmp_path):
+    entry = struct.pack("<I", 2) + b"ab" + struct.pack("<II", 1, 1) + bytes(4)
+    path = tmp_path / "dup.mosw"
+    path.write_bytes(b"MOSW" + struct.pack("<II", 1, 2) + entry + entry)
+    code, _, err = run_cli(
+        capsys, "run", tiny_conf, "--weights", str(path), "--output", str(tmp_path / "out.pgm"),
+    )
+    assert code == 1
+    assert err == "error: duplicate weight entry 'ab' at byte 36\n"
 
 
 @pytest.mark.parametrize("flag", ["--weights", "--input"])

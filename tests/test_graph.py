@@ -321,6 +321,24 @@ def test_execute_float32_overflow_names_affine_node(rng):
         execute(g, store, x)
 
 
+def test_execute_affine_overflow_that_relu_would_clamp_names_affine_node():
+    # a positive conv output times -3e38 is -inf in float32, which the fused
+    # ReLU would turn into 0: the affine's result is checked before the ReLU
+    g = Graph()
+    c = g.add_node(conv_spec("c", 3, 4), (g.source,))
+    a = g.add_node(NodeSpec("a", "Affine", {"channels": 4}), (c,))
+    r = g.add_node(NodeSpec("r", "Relu"), (a,))
+    g.outputs = [r]
+    assert _fused_chains(g, {r})[c] == (c, a, r)
+    store = WeightStore()
+    store["c/kernel"] = np.ones((3, 3, 3, 4), dtype=np.float32)
+    store["a/scale"] = np.full(4, -3e38, dtype=np.float32)
+    store["a/bias"] = np.zeros(4, dtype=np.float32)
+    x = np.full((5, 5, 3), 10.0, dtype=np.float32)
+    with pytest.raises(NumericError, match=r"^node a \(Affine\): affine_channels produced non-finite values$"):
+        execute(g, store, x)
+
+
 def test_execute_conv_overflow_in_a_later_band_outranks_an_earlier_affine_overflow():
     # unfused, the conv's whole output is checked before the affine runs, so
     # the conv is named although the affine overflows first, in band 0

@@ -91,6 +91,22 @@ def test_conv_rejects_non_finite():
         kernels.conv2d(x, np.ones(params.kernel_shape(), dtype=np.float32), None, params)
 
 
+@pytest.mark.parametrize("params", [
+    ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 2, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
+], ids=["pointwise", "kxk", "depthwise"])
+def test_conv_affine_overflow_raises_before_relu(params):
+    # the positive conv output times -3e38 is -inf in float32, which the ReLU
+    # would turn into 0
+    x = np.full((6, 6, 4), 10.0, dtype=np.float32)
+    kern = np.ones(params.kernel_shape(), dtype=np.float32)
+    affine = (np.full(4, -3e38, dtype=np.float32), np.zeros(4, dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^affine_channels produced non-finite values$"):
+        if params.is_depthwise:
+            kernels.depthwise_conv2d(x, kern, params, affine=affine, relu=True)
+        else:
+            kernels.conv2d(x, kern, None, params, affine=affine, relu=True)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dilation", [1, 2])
 @pytest.mark.parametrize("kernel", [1, 3, 5])

@@ -141,7 +141,7 @@ def test_load_duplicate_entries_rejected(tmp_path):
     entry += struct.pack("<I", len(name)) + name
     entry += struct.pack("<I", 1) + struct.pack("<I", 2) + payload
     path.write_bytes(b"MOSW" + struct.pack("<II", 1, 2) + entry + entry)
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(FormatError, match="duplicate"):
         load_weights(path)
 
 
@@ -263,4 +263,20 @@ def test_netpbm_rejects_dimensions_too_large_to_format(tmp_path, magic, read):
     digits = b"9" * 4001
     path.write_bytes(magic + b"\n" + digits + b" " + digits + b"\n255\n" + bytes(12))
     with pytest.raises(FormatError, match="truncated"):
+        read(path)
+
+
+@pytest.mark.parametrize("magic,read", [(b"P6", read_image_ppm), (b"P5", read_labelmap_pgm)])
+@pytest.mark.parametrize("header,extra", [
+    (b"2 1\n255", 7), (b"1_0 1\n255", 0), (b"+2 1\n255", 0), (b"2 1\n2_55", 0),
+])
+def test_netpbm_rejects_trailing_bytes_and_non_decimal_fields(tmp_path, magic, read, header, extra):
+    # the payload holds exactly the declared 2x1 pixels, or 10x1 for "1_0"
+    channels = 3 if magic == b"P6" else 1
+    width = 10 if header.startswith(b"1_0") else 2
+    path = tmp_path / "image.pnm"
+    head = magic + b"\n" + header + b"\n"
+    path.write_bytes(head + bytes(range(1, 1 + width * channels + extra)))
+    end = len(head) + width * channels
+    with pytest.raises(FormatError, match=f"trailing garbage at byte {end}$" if extra else "non-numeric"):
         read(path)
