@@ -11,6 +11,7 @@ and ReLU unless built linear: bottleneck projections and sum-merge skip
 projections carry affine only, the classifier carries bias only.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -101,11 +102,7 @@ def parse_skip(token: str) -> SkipSpec:
     parts = token.strip().split("-")
     if len(parts) != 2 or parts[1] not in MERGE_STYLES:
         raise ConfigError(f"bad skip token {token!r}, expected e.g. '8-C' or '4-S'")
-    try:
-        stride = int(parts[0])
-    except ValueError:
-        raise ConfigError(f"bad skip token {token!r}") from None
-    spec = SkipSpec(stride, MERGE_STYLES[parts[1]])
+    spec = SkipSpec(parse_int(f"bad skip token {token!r}", parts[0]), MERGE_STYLES[parts[1]])
     spec.validate()
     return spec
 
@@ -387,28 +384,30 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 # --- flat key=value config files -------------------------------------------
+# each parser takes (what, value); ``what`` names the value in its errors
 
-def _parse_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"config key {key}: expected integer, got {value!r}") from None
+def parse_int(what, value):
+    """An optional '-' then ASCII digits, surrounding whitespace aside."""
+    value = value.strip()
+    if re.fullmatch(r"-?[0-9]+", value) is None:
+        raise ConfigError(f"{what}: expected integer, got {value!r}")
+    return int(value)
 
 
-def _parse_int_list(key, value):
+def _parse_int_list(what, value):
     if not value.strip():
         return ()
-    return tuple(_parse_int(key, v) for v in value.split(","))
+    return tuple(parse_int(what, v) for v in value.split(","))
 
 
-def _parse_bool(key, value):
+def _parse_bool(what, value):
     lowered = value.strip().lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    raise ConfigError(f"config key {key}: expected true/false, got {value!r}")
+    raise ConfigError(f"{what}: expected true/false, got {value!r}")
 
 
-def _parse_skips(key, value):
+def _parse_skips(what, value):
     return tuple(parse_skip(t) for t in value.split(",") if t.strip())
 
 
@@ -416,10 +415,10 @@ def _join(values):
     return ",".join(str(v) for v in values)
 
 
-_INT = (_parse_int, str)
+_INT = (parse_int, str)
 _INTS = (_parse_int_list, _join)
 
-# key: (section, parse(key, text), format(value)), in dump order; each key
+# key: (section, parse(what, text), format(value)), in dump order; each key
 # names the field of its section's config class
 _CONFIG_FIELDS = {
     "m": ("model", *_INT),
@@ -432,7 +431,7 @@ _CONFIG_FIELDS = {
     "use_group_conv": ("encoder", _parse_bool, lambda v: "true" if v else "false"),
     "group_kernels": ("encoder", *_INTS),
     "skips": ("decoder", _parse_skips, lambda skips: _join(s.token() for s in skips)),
-    "aggregation_width_mode": ("model", lambda key, value: value, str),
+    "aggregation_width_mode": ("model", lambda what, value: value, str),
     "dilation_rows": ("model", *_INTS),
 }
 
@@ -456,7 +455,7 @@ def parse_config(text: str) -> ModelConfig:
     fields: dict[str, dict] = {"model": {}, "encoder": {}, "decoder": {}}
     for key, value in raw.items():
         section, parse, _ = _CONFIG_FIELDS[key]
-        fields[section][key] = parse(key, value)
+        fields[section][key] = parse(f"config key {key}", value)
     cfg = ModelConfig(
         encoder=EncoderConfig(**fields["encoder"]),
         decoder=DecoderConfig(**fields["decoder"]),

@@ -1,21 +1,22 @@
 """Analytical multiply-add and parameter counting over a shaped graph.
 
 Default policy counts one madd per multiply-accumulate in conv/depthwise
-kernels and nothing else; pooling, resizing, additions, affine transforms and
-argmax cost zero. The "include-everything" policy adds one op per produced
-(or reduced) element for those kinds, for sensitivity analysis only.
+kernels and nothing else; pooling, resizing, additions and affine transforms
+cost zero. The "include-everything" policy adds one op per produced (or
+reduced) element for those kinds, for sensitivity analysis only.
 
-Conv:          madds = out_h*out_w*out_c*kernel_h*kernel_w*in_c/groups
-               params = kernel_h*kernel_w*in_c*out_c/groups (+ out_c if biased)
-DepthwiseConv: madds = out_h*out_w*c*kernel_h*kernel_w, params = c*kernel_h*kernel_w
-Affine:        params = 2c
+Conv and DepthwiseConv, with taps = kernel_h*kernel_w*in_c/groups (in_c/groups
+is 1 for a depthwise conv):
+    madds = out_h*out_w*out_c*taps, params = taps*out_c (+ out_c for a biased Conv)
+Affine:
+    params = 2c
 """
 
 import csv
 import io
 from dataclasses import dataclass, replace
 
-from .arch import Model, ModelConfig, build_model, parse_skip, with_skips
+from .arch import Model, ModelConfig, build_model, parse_int, parse_skip, with_skips
 from .errors import ConfigError, ShapeError
 from .graph import infer_shapes
 from .tensor import TensorShape
@@ -59,12 +60,8 @@ def count_node(spec, in_shapes, out_shape: TensorShape, policy: CostPolicy = DEF
         conv = p["conv"]
         if in_shapes[0].c != conv.in_c:
             raise ShapeError(f"node {spec.name}: shape {in_shapes[0]} inconsistent with {conv}")
-        if kind == "DepthwiseConv":
-            madds = out_shape.count * conv.kernel_h * conv.kernel_w
-            params = conv.in_c * conv.kernel_h * conv.kernel_w
-        else:
-            madds = out_shape.count * conv.kernel_h * conv.kernel_w * conv.in_c // conv.groups
-            params = conv.kernel_h * conv.kernel_w * conv.in_c * conv.out_c // conv.groups
+        taps = conv.kernel_h * conv.kernel_w * conv.in_c // conv.groups
+        madds, params = out_shape.count * taps, taps * conv.out_c
         if kind == "Conv" and p.get("bias", False):
             params += conv.out_c
         return madds, params
@@ -132,10 +129,10 @@ def apply_variant(base: ModelConfig, axis: str, token: str) -> ModelConfig:
     """
     token = token.strip()
     if axis == "encoder_filters":
-        enc = replace(base.encoder, enc_filters=int(token))
+        enc = replace(base.encoder, enc_filters=parse_int(axis, token))
         return replace(base, encoder=enc)
     if axis == "decoder_filters":
-        dec = replace(base.decoder, dec_filters=int(token))
+        dec = replace(base.decoder, dec_filters=parse_int(axis, token))
         return replace(base, decoder=dec)
     if axis == "pyramid":
         gc = base.encoder.use_group_conv
@@ -145,7 +142,7 @@ def apply_variant(base: ModelConfig, axis: str, token: str) -> ModelConfig:
             if flag not in ("gc", "nogc"):
                 raise ConfigError(f"pyramid variant {token!r}: suffix must be ':gc' or ':nogc'")
             gc = flag == "gc"
-        bins = tuple(int(v) for v in bins_part.split(",") if v.strip())
+        bins = tuple(parse_int(axis, v) for v in bins_part.split(",") if v.strip())
         enc = replace(base.encoder, pyramid_bins=bins, use_group_conv=gc)
         return replace(base, encoder=enc)
     if axis == "skips":
@@ -205,19 +202,20 @@ def render_report_text(report: CostReport) -> str:
     return "\n".join(lines)
 
 
-def render_report_csv(report: CostReport) -> str:
+def _render_csv(rows) -> str:
+    """The label,madds,madds_B,params table of (label, madds, params) rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "madds", "madds_B", "params"])
-    for c in report.per_node:
-        writer.writerow([c.name, c.madds, billions(c.madds), c.params])
-    for stage in STAGES:
-        writer.writerow(
-            ["stage:" + stage, report.stage_madds[stage],
-             billions(report.stage_madds[stage]), report.stage_params[stage]]
-        )
-    writer.writerow(["total", report.total_madds, billions(report.total_madds), report.total_params])
+    writer.writerows([label, madds, billions(madds), params] for label, madds, params in rows)
     return buf.getvalue()
+
+
+def render_report_csv(report: CostReport) -> str:
+    rows = [(c.name, c.madds, c.params) for c in report.per_node]
+    rows += [("stage:" + s, report.stage_madds[s], report.stage_params[s]) for s in STAGES]
+    rows.append(("total", report.total_madds, report.total_params))
+    return _render_csv(rows)
 
 
 def render_ablation_text(rows: list[AblationRow]) -> str:
@@ -229,12 +227,7 @@ def render_ablation_text(rows: list[AblationRow]) -> str:
 
 
 def render_ablation_csv(rows: list[AblationRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "madds", "madds_B", "params"])
-    for r in rows:
-        writer.writerow([r.label, r.madds, billions(r.madds), r.params])
-    return buf.getvalue()
+    return _render_csv((r.label, r.madds, r.params) for r in rows)
 
 
 __all__ = [

@@ -3,15 +3,16 @@
 Nodes are appended via :func:`add_node` and may only reference nodes that
 already exist, so the insertion order is topological; ``topo_order`` returns
 it and still rejects a graph whose inputs were edited into a cycle behind the
-API. Node kinds map one-to-one onto the kernels in :mod:`mosaicseg.kernels`,
-plus a zero-cost ``Slice`` kind for channel-range views (needed to lower
-grouped multi-kernel convolutions) and an ``Input`` kind for the designated
-source.
+API. Every node kind runs one kernel of :mod:`mosaicseg.kernels`, except the
+``Input`` kind for the designated source and a zero-cost ``Slice`` kind for
+channel-range views (needed to lower grouped multi-kernel convolutions).
+``argmax_channels`` is a kernel but no kind: callers apply it to the fetched
+logits.
 
 Parameterized kinds read their weights from a mapping with role-suffixed
-keys: ``<name>/kernel`` and optional ``<name>/bias`` for Conv,
-``<name>/kernel`` for DepthwiseConv, ``<name>/scale`` and ``<name>/bias``
-for Affine.
+keys, as :func:`weight_shapes` lists them: ``<name>/kernel`` and optional
+``<name>/bias`` for Conv, ``<name>/kernel`` for DepthwiseConv,
+``<name>/scale`` and ``<name>/bias`` for Affine.
 """
 
 from dataclasses import dataclass, field
@@ -23,22 +24,7 @@ from . import kernels
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import ConvParams, TensorShape, as_feature_map, require_finite, shape_of
 
-NODE_KINDS = (
-    "Input",
-    "Conv",
-    "DepthwiseConv",
-    "AvgPoolGrid",
-    "GlobalPool",
-    "BilinearResize",
-    "ConcatChannels",
-    "Add",
-    "Affine",
-    "Relu",
-    "Argmax",
-    "Slice",
-)
-
-# arity: exact int, or (min, None) for variadic
+# each kind with its arity: exact int, or (min, None) for variadic
 _ARITY = {
     "Input": 0,
     "Conv": 1,
@@ -50,9 +36,9 @@ _ARITY = {
     "Add": 2,
     "Affine": 1,
     "Relu": 1,
-    "Argmax": 1,
     "Slice": 1,
 }
+NODE_KINDS = tuple(_ARITY)
 
 
 @dataclass(frozen=True)
@@ -203,9 +189,6 @@ def _infer_node(spec: NodeSpec, in_shapes: list[TensorShape]) -> TensorShape:
         return in_shapes[0]
     if kind == "Relu":
         return in_shapes[0]
-    if kind == "Argmax":
-        s = in_shapes[0]
-        return TensorShape(s.h, s.w, 1)
     if kind == "Slice":
         s = in_shapes[0]
         if p["stop"] > s.c:
@@ -228,29 +211,17 @@ def infer_shapes(graph: Graph, input_shape: TensorShape) -> dict[str, TensorShap
     return shapes
 
 
-_WEIGHT_ROLES = {
-    "Conv": ("kernel",),  # plus "bias" when params["bias"] is true
-    "DepthwiseConv": ("kernel",),
-    "Affine": ("scale", "bias"),
-}
-
-
-def weight_roles(spec: NodeSpec) -> tuple[str, ...]:
-    roles = _WEIGHT_ROLES.get(spec.kind, ())
-    if spec.kind == "Conv" and spec.params.get("bias", False):
-        roles = roles + ("bias",)
-    return roles
-
-
-def expected_weight_shape(spec: NodeSpec, role: str) -> tuple[int, ...]:
-    conv = spec.params.get("conv")
-    if spec.kind in ("Conv", "DepthwiseConv") and role == "kernel":
-        return conv.kernel_shape()
-    if spec.kind == "Conv" and role == "bias":
-        return (conv.out_c,)
+def weight_shapes(spec: NodeSpec) -> dict[str, tuple[int, ...]]:
+    """The node's weight entries as {role: shape}, in store order."""
+    p = spec.params
     if spec.kind == "Affine":
-        return (spec.params["channels"],)
-    raise ConfigError(f"node {spec.name} has no weight role {role!r}")
+        return {"scale": (p["channels"],), "bias": (p["channels"],)}
+    if spec.kind not in ("Conv", "DepthwiseConv"):
+        return {}
+    conv: ConvParams = p["conv"]
+    if spec.kind == "Conv" and p.get("bias", False):
+        return {"kernel": conv.kernel_shape(), "bias": (conv.out_c,)}
+    return {"kernel": conv.kernel_shape()}
 
 
 def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.ndarray:
@@ -278,8 +249,6 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.
         )
     if kind == "Relu":
         return kernels.relu(ins[0])
-    if kind == "Argmax":
-        return kernels.argmax_channels(ins[0])
     if kind == "Slice":
         return ins[0][:, :, p["start"]:p["stop"]].copy()
     raise ConfigError(f"cannot execute node kind {kind}")
@@ -288,11 +257,8 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.
 def check_weights(graph: Graph, weights) -> None:
     """Every parameterized node has exactly its role entries, correctly shaped,
     and the store holds nothing else."""
-    wanted: dict[str, tuple[int, ...]] = {}
-    for name in graph.order:
-        spec = graph.nodes[name]
-        for role in weight_roles(spec):
-            wanted[f"{name}/{role}"] = expected_weight_shape(spec, role)
+    wanted = {f"{name}/{role}": shape for name in graph.order
+              for role, shape in weight_shapes(graph.nodes[name]).items()}
     missing = [k for k in wanted if k not in weights]
     if missing:
         raise ConfigError(f"missing weight entries: {missing[:4]} (of {len(missing)})")
@@ -385,10 +351,9 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
                 # rerun outside the handler, whose traceback holds the failed call's output
                 for member in chain:
                     del chains[member]
-            if spec.kind != "Argmax":
-                got = shape_of(out)
-                if got != shapes[name]:
-                    raise ShapeError(f"node {name}: executed shape {got} != inferred {shapes[name]}")
+            got = shape_of(out)
+            if got != shapes[name]:
+                raise ShapeError(f"node {name}: executed shape {got} != inferred {shapes[name]}")
             values[name] = out
             for ref in graph.inputs[name]:
                 remaining[ref] -= 1

@@ -176,14 +176,11 @@ def _finish_band(acc, band, fn: str, affine, relu: bool):
 
 
 def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) -> np.ndarray:
-    """Per-channel convolution with (kernel_h, kernel_w, c) or (kernel_h,
-    kernel_w, 1, c) kernels; output channel i depends only on input channel i.
-    ``affine`` and ``relu`` are the optional epilogue (module docstring)."""
+    """Per-channel convolution with (kernel_h, kernel_w, 1, c) kernels; output
+    channel i depends only on input channel i. ``affine`` and ``relu`` are the
+    optional epilogue (module docstring)."""
     if not params.is_depthwise:
         raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
-    kernels = np.asarray(kernels, dtype=np.float32)
-    if kernels.ndim == 3:
-        kernels = kernels[:, :, None, :]
     x, kernels, _ = _conv_args("depthwise_conv2d", x, kernels, None, params)
     return _convolve("depthwise_conv2d", x, kernels, None, params, affine, relu)
 

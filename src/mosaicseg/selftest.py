@@ -69,13 +69,6 @@ def conv2d_loops(x, kern, bias, params: ConvParams, count_mults=False):
     return (out32, mults) if count_mults else out32
 
 
-def depthwise_loops(x, kern, params: ConvParams, count_mults=False):
-    kern = np.asarray(kern, dtype=np.float64)
-    if kern.ndim == 4:
-        kern = kern.reshape(kern.shape[0], kern.shape[1], kern.shape[3])
-    return conv2d_loops(x, kern[:, :, None, :], None, params, count_mults)
-
-
 def avg_pool_loops(x, gh, gw):
     h, w, c = x.shape
     out = np.zeros((gh, gw, c), dtype=np.float64)
@@ -160,9 +153,9 @@ def _check_depthwise_oracle(n_cases=8, seed=12):
         k = int(rng.choice([3, 5]))
         params = ConvParams(k, k, int(rng.choice([1, 2])), int(rng.choice([1, 2])), c, c, c)
         x = rng.standard_normal((h, w, c)).astype(np.float32)
-        kern = rng.standard_normal((k, k, c)).astype(np.float32)
+        kern = rng.standard_normal((k, k, 1, c)).astype(np.float32)
         got = kernels.depthwise_conv2d(x, kern, params)
-        want = depthwise_loops(x, kern, params)
+        want = conv2d_loops(x, kern, None, params)
         if not _close(got, want):
             return False, f"depthwise mismatch for {params}"
     return True, f"{n_cases} random cases within 1e-5"

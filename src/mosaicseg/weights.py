@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .graph import Graph, expected_weight_shape, weight_roles
+from .graph import Graph, weight_shapes
 
 MAGIC = b"MOSW"
 VERSION = 1
@@ -80,16 +80,11 @@ def init_weights(model_or_graph, seed: int) -> WeightStore:
     rng = seeded_rng(seed)
     store = WeightStore()
     for name in graph.order:
-        spec = graph.nodes[name]
-        for role in weight_roles(spec):
-            shape = expected_weight_shape(spec, role)
+        for role, shape in weight_shapes(graph.nodes[name]).items():
             require_drawable(math.prod(shape), f"the values of weight entry '{name}/{role}'")
-            if role == "kernel":
-                conv = spec.params["conv"]
-                fan_in = conv.kernel_h * conv.kernel_w * (conv.in_c // conv.groups)
-                store[f"{name}/{role}"] = rng.normal(
-                    0.0, 1.0 / np.sqrt(fan_in), size=shape
-                ).astype(np.float32)
+            if role == "kernel":  # fan-in: every dimension but the output channels
+                std = 1.0 / np.sqrt(math.prod(shape[:-1]))
+                store[f"{name}/{role}"] = rng.normal(0.0, std, size=shape).astype(np.float32)
             elif role == "scale":
                 store[f"{name}/{role}"] = np.ones(shape, dtype=np.float32)
             else:  # bias

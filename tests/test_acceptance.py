@@ -34,8 +34,7 @@ from mosaicseg.graph import Graph, NodeSpec, infer_shapes
 from mosaicseg.images import read_labelmap_pgm
 from mosaicseg.metrics import compute_miou
 from mosaicseg.selftest import (
-    avg_pool_loops, conv2d_loops, depthwise_loops, has_os2_skip, ordering, random_conv_spec,
-    resize_loops,
+    avg_pool_loops, conv2d_loops, has_os2_skip, ordering, random_conv_spec, resize_loops,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
 
@@ -229,9 +228,9 @@ def test_c5_kernel_oracles_100_cases_each():
         params = ConvParams(k, k, int(rng.choice([1, 2])), int(rng.choice([1, 2])), c, c, c)
         h, w = int(rng.integers(3, 11)), int(rng.integers(3, 11))
         x = rng.standard_normal((h, w, c)).astype(np.float32)
-        kern = rng.standard_normal((k, k, c)).astype(np.float32)
+        kern = rng.standard_normal((k, k, 1, c)).astype(np.float32)
         assert _rel_close(kernels.depthwise_conv2d(x, kern, params),
-                          depthwise_loops(x, kern, params)), params
+                          conv2d_loops(x, kern, None, params)), params
 
     for _ in range(100):
         h, w = int(rng.integers(2, 21)), int(rng.integers(2, 21))

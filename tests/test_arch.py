@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mosaicseg import reference
 from mosaicseg.arch import (
     BACKBONE_ROWS, DecoderConfig, EncoderConfig, ModelConfig, SkipSpec,
     ade20k_config, build_backbone, build_bneck, build_model, cityscapes_config,
     dump_config, load_config, parse_config, parse_skip, with_skips,
 )
+from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError
 from mosaicseg.graph import Graph, execute, infer_shapes
 from mosaicseg.tensor import TensorShape
@@ -419,7 +421,13 @@ def test_backbone_rows_table_consistency():
 # --- config files ------------------------------------------------------------------
 
 def test_config_roundtrip():
-    for cfg in (cityscapes_config(), ade20k_config()):
+    base = cityscapes_config()
+    cfgs = [base, ade20k_config()]
+    cfgs += [apply_variant(base, "skips", t) for t in reference.SKIP_VARIANTS_B]
+    cfgs += [apply_variant(base, "pyramid", t) for t in reference.PYRAMID_VARIANTS_B]
+    cfgs += [apply_variant(base, axis, str(v)) for enc, dec in reference.FILTER_VARIANTS_B
+             for axis, v in (("encoder_filters", enc), ("decoder_filters", dec))]
+    for cfg in cfgs:
         assert parse_config(dump_config(cfg)) == cfg
 
 
@@ -467,6 +475,28 @@ def test_config_bad_skip_token():
         parse_config("skips=8-Q\n")
     with pytest.raises(ConfigError):
         parse_skip("16-C")
+
+
+@pytest.mark.parametrize("line,match", [
+    ("m=4_80", "config key m: expected integer, got '4_80'"),
+    ("m=+480", "config key m: expected integer"),
+    ("m=\u0664\u0668\u0660", "config key m: expected integer"),  # Arabic-Indic digits
+    ("pyramid_bins=4,1_6", "config key pyramid_bins: expected integer, got '1_6'"),
+    ("dilation_rows=15,+16", "config key dilation_rows: expected integer"),
+    ("skips=8-C,+4-S", "bad skip token '\\+4-S': expected integer"),
+    ("skips=0_8-C", "bad skip token"),
+])
+def test_config_integers_are_ascii_decimal(line, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(line + "\n")
+
+
+def test_config_integer_items_may_be_spaced_and_negative():
+    cfg = parse_config("pyramid_bins= 4 , 8 ,16\nskips= 8 -C , 4-S\n")
+    assert cfg.encoder.pyramid_bins == (4, 8, 16)
+    assert [s.token() for s in cfg.decoder.skips] == ["8-C", "4-S"]
+    with pytest.raises(ConfigError, match="m must be positive, got -480"):
+        parse_config("m=-480\n")
 
 
 def test_config_bad_aggregation_mode():

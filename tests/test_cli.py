@@ -135,6 +135,21 @@ def test_ablate_bad_variant_exit_2(capsys, tiny_conf):
     assert "9-C" in err
 
 
+@pytest.mark.parametrize("axis,token", [("encoder_filters", "1_6"), ("pyramid", "4,1_6")])
+def test_ablate_non_decimal_integer_exit_2(capsys, tiny_conf, axis, token):
+    code, out, err = run_cli(capsys, "ablate", tiny_conf, "--axis", axis, "--variants", token)
+    assert (code, out) == (2, "")
+    assert f"variant {token!r}: {axis}: expected integer, got '1_6'" in err
+
+
+def test_describe_non_decimal_integer_config_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_text("m=4_80\n")
+    code, out, err = run_cli(capsys, "describe", str(path))
+    assert (code, out) == (2, "")
+    assert "config key m: expected integer, got '4_80'" in err
+
+
 def test_unknown_flag_rejected(tiny_conf):
     with pytest.raises(SystemExit) as excinfo:
         main(["cost", tiny_conf, "--fast"])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mosaicseg.arch import (
-    DecoderConfig, EncoderConfig, ModelConfig, SkipSpec, cityscapes_config, with_skips,
+    DecoderConfig, EncoderConfig, ModelConfig, SkipSpec, ade20k_config, cityscapes_config,
+    with_skips,
 )
 from mosaicseg.cost import (
     DEFAULT_POLICY, INCLUSIVE_POLICY, ablation_report, apply_variant, count_config,
@@ -18,6 +19,7 @@ from mosaicseg.kernels import same_pad
 from mosaicseg.arch import build_model
 from mosaicseg.selftest import conv2d_loops, random_conv_spec
 from mosaicseg.tensor import ConvParams, TensorShape
+from mosaicseg.weights import init_weights
 
 
 def out_shape_for(h, w, params):
@@ -47,10 +49,17 @@ def test_relu_and_structural_nodes_are_free():
     shape = TensorShape(10, 10, 8)
     for kind, params in [
         ("Relu", {}), ("ConcatChannels", {}), ("Add", {}),
-        ("GlobalPool", {}), ("Argmax", {}), ("Slice", {"start": 0, "stop": 4}),
+        ("GlobalPool", {}), ("Slice", {"start": 0, "stop": 4}),
     ]:
         madds, params_n = count_node(NodeSpec("n", kind, params), [shape], shape)
         assert (madds, params_n) == (0, 0)
+
+
+@pytest.mark.parametrize("config", [cityscapes_config, ade20k_config])
+def test_cost_params_match_the_weight_store(config):
+    model = build_model(config())
+    store = init_weights(model, 0)
+    assert count_model(model).total_params == sum(v.size for _, v in store.items())
 
 
 def test_affine_params_counted_madds_free():
@@ -176,6 +185,15 @@ def test_ablation_errors_name_variant():
         ablation_report(cityscapes_config(), "skips", [])
     with pytest.raises(ConfigError, match="axis"):
         ablation_report(cityscapes_config(), "resolution", ["512"])
+
+
+@pytest.mark.parametrize("axis,token", [
+    ("encoder_filters", "1_6"), ("decoder_filters", "+64"), ("encoder_filters", "\u0663\u0662"),
+    ("pyramid", "4,1_6"), ("pyramid", "4,+8:nogc"), ("skips", "8-C,0_4-S"),
+])
+def test_ablation_tokens_take_ascii_decimal_integers(axis, token):
+    with pytest.raises(ConfigError, match="expected integer"):
+        apply_variant(cityscapes_config(), axis, token)
 
 
 def test_inclusive_policy_adds_cost_but_keeps_order():

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mosaicseg import kernels
-from mosaicseg.arch import ade20k_config, build_model
+from mosaicseg import kernels, reference
+from mosaicseg.arch import ade20k_config, build_model, cityscapes_config
+from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
 from mosaicseg.graph import (
-    Graph, NodeSpec, _fused_chains, describe_lines, execute, infer_shapes, topo_order,
+    NODE_KINDS, Graph, NodeSpec, _fused_chains, describe_lines, execute, infer_shapes, topo_order,
+    weight_shapes,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
 from mosaicseg.weights import WeightStore, init_weights
@@ -26,6 +28,33 @@ def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, groups=1, bias=False
     return NodeSpec(name, "Conv", {
         "conv": ConvParams(k, k, stride, dilation, groups, in_c, out_c), "bias": bias,
     })
+
+
+def test_unknown_node_kind_rejected():
+    with pytest.raises(ConfigError, match="unknown node kind 'Argmax'"):
+        NodeSpec("n", "Argmax")
+
+
+def test_every_node_kind_has_a_builder():
+    # GlobalPool comes from the pyramid "1,4" variant, Slice from group convs
+    base = cityscapes_config()
+    cfgs = [base, ade20k_config()]
+    cfgs += [apply_variant(base, "pyramid", token) for token in reference.PYRAMID_VARIANTS_B]
+    built = {spec.kind for cfg in cfgs for spec in build_model(cfg).graph.nodes.values()}
+    assert built == set(NODE_KINDS)
+
+
+def test_weight_shapes_in_store_order():
+    assert list(weight_shapes(conv_spec("c", 4, 6, groups=2, bias=True)).items()) == [
+        ("kernel", (3, 3, 2, 6)), ("bias", (6,)),
+    ]
+    assert weight_shapes(conv_spec("c", 4, 6)) == {"kernel": (3, 3, 4, 6)}
+    dw = NodeSpec("d", "DepthwiseConv", {"conv": ConvParams(5, 5, 1, 1, 4, 4, 4)})
+    assert weight_shapes(dw) == {"kernel": (5, 5, 1, 4)}
+    assert list(weight_shapes(NodeSpec("a", "Affine", {"channels": 6})).items()) == [
+        ("scale", (6,)), ("bias", (6,)),
+    ]
+    assert weight_shapes(NodeSpec("r", "Relu")) == {}
 
 
 def test_add_node_after_source():
@@ -233,16 +262,6 @@ def test_execute_rejects_orphan_weights(rng):
     store["stray/kernel"] = np.zeros((1, 1, 1, 1), dtype=np.float32)
     with pytest.raises(ConfigError, match="orphan"):
         execute(g, store, rng.standard_normal((2, 2, 1)).astype(np.float32))
-
-
-def test_execute_argmax_node(rng):
-    g = Graph()
-    a = g.add_node(NodeSpec("labels", "Argmax"), (g.source,))
-    g.outputs = [a]
-    x = rng.standard_normal((5, 4, 6)).astype(np.float32)
-    out = execute(g, WeightStore(), x)[a]
-    assert out.dtype == np.int32
-    assert np.array_equal(out, kernels.argmax_channels(x))
 
 
 def test_execute_default_fetch_returns_outputs_and_taps(rng):

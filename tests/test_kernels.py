@@ -4,7 +4,7 @@ import pytest
 from mosaicseg import kernels
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
 from mosaicseg.selftest import (
-    avg_pool_loops, conv2d_loops, depthwise_loops, random_conv_spec, resize_loops,
+    avg_pool_loops, conv2d_loops, random_conv_spec, resize_loops,
 )
 from mosaicseg.tensor import ConvParams
 
@@ -123,7 +123,7 @@ def test_separable_stack_is_linear(rng):
     x = rand_map(rng, 6, 6, 4)
     dw_params = ConvParams(3, 3, 1, 1, 4, 4, 4)
     pw_params = ConvParams(1, 1, 1, 1, 1, 4, 6)
-    dw = rng.standard_normal((3, 3, 4)).astype(np.float32)
+    dw = rng.standard_normal((3, 3, 1, 4)).astype(np.float32)
     pw = rng.standard_normal(pw_params.kernel_shape()).astype(np.float32)
 
     def f(v):
@@ -138,14 +138,14 @@ def test_separable_stack_is_linear(rng):
 def test_depthwise_zero_kernels():
     x = np.ones((8, 8, 4), dtype=np.float32)
     params = ConvParams(3, 3, 1, 1, 4, 4, 4)
-    out = kernels.depthwise_conv2d(x, np.zeros((3, 3, 4), dtype=np.float32), params)
+    out = kernels.depthwise_conv2d(x, np.zeros((3, 3, 1, 4), dtype=np.float32), params)
     assert np.array_equal(out, np.zeros_like(x))
 
 
 def test_depthwise_delta_kernels_identity(rng):
     x = rand_map(rng, 8, 8, 4)
-    kern = np.zeros((3, 3, 4), dtype=np.float32)
-    kern[1, 1, :] = 1.0
+    kern = np.zeros((3, 3, 1, 4), dtype=np.float32)
+    kern[1, 1] = 1.0
     out = kernels.depthwise_conv2d(x, kern, ConvParams(3, 3, 1, 1, 4, 4, 4))
     assert np.array_equal(out, x)
 
@@ -153,9 +153,9 @@ def test_depthwise_delta_kernels_identity(rng):
 def test_depthwise_dilated_matches_loops(rng):
     x = rand_map(rng, 6, 6, 2)
     params = ConvParams(3, 3, 1, 2, 2, 2, 2)
-    kern = rng.standard_normal((3, 3, 2)).astype(np.float32)
+    kern = rng.standard_normal((3, 3, 1, 2)).astype(np.float32)
     got = kernels.depthwise_conv2d(x, kern, params)
-    want = depthwise_loops(x, kern, params)
+    want = conv2d_loops(x, kern, None, params)
     assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
@@ -163,7 +163,7 @@ def test_depthwise_channel_independence(rng):
     # perturbing channel j must not change channel i != j
     x = rand_map(rng, 5, 5, 3)
     params = ConvParams(3, 3, 1, 1, 3, 3, 3)
-    kern = rng.standard_normal((3, 3, 3)).astype(np.float32)
+    kern = rng.standard_normal((3, 3, 1, 3)).astype(np.float32)
     base = kernels.depthwise_conv2d(x, kern, params)
     x2 = x.copy()
     x2[:, :, 2] += 1.0
@@ -175,7 +175,13 @@ def test_depthwise_channel_independence(rng):
 def test_depthwise_wrong_kernel_count():
     x = np.zeros((4, 4, 3), dtype=np.float32)
     with pytest.raises(ShapeError):
-        kernels.depthwise_conv2d(x, np.zeros((3, 3, 2), dtype=np.float32), ConvParams(3, 3, 1, 1, 3, 3, 3))
+        kernels.depthwise_conv2d(x, np.zeros((3, 3, 1, 2), dtype=np.float32), ConvParams(3, 3, 1, 1, 3, 3, 3))
+
+
+def test_depthwise_takes_only_the_store_layout():
+    x = np.zeros((4, 4, 3), dtype=np.float32)
+    with pytest.raises(ShapeError, match=r"kernel shape \(3, 3, 3\)"):
+        kernels.depthwise_conv2d(x, np.zeros((3, 3, 3), dtype=np.float32), ConvParams(3, 3, 1, 1, 3, 3, 3))
 
 
 # --- pooling ------------------------------------------------------------------
