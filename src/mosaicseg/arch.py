@@ -394,10 +394,16 @@ def parse_int(what, value):
     return int(value)
 
 
-def _parse_int_list(what, value):
+def parse_list(value, parse_item):
+    """Comma-separated items: a blank value is (); otherwise every item, an
+    empty one included, goes through ``parse_item``, which rejects ''."""
     if not value.strip():
         return ()
-    return tuple(parse_int(what, v) for v in value.split(","))
+    return tuple(parse_item(v) for v in value.split(","))
+
+
+def _parse_int_list(what, value):
+    return parse_list(value, lambda v: parse_int(what, v))
 
 
 def _parse_bool(what, value):
@@ -408,7 +414,7 @@ def _parse_bool(what, value):
 
 
 def _parse_skips(what, value):
-    return tuple(parse_skip(t) for t in value.split(",") if t.strip())
+    return parse_list(value, parse_skip)
 
 
 def _join(values):

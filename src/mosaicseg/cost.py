@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .arch import Model, ModelConfig, build_model, parse_int, parse_skip, with_skips
+from .arch import Model, ModelConfig, build_model, parse_int, parse_list, parse_skip, with_skips
 from .errors import ConfigError, ShapeError
 from .graph import infer_shapes
 from .tensor import TensorShape
@@ -125,7 +125,9 @@ def apply_variant(base: ModelConfig, axis: str, token: str) -> ModelConfig:
 
     encoder_filters / decoder_filters: an integer. pyramid: comma bin list
     with optional ':nogc' / ':gc' suffix (e.g. "1,4", "4,8,16:nogc").
-    skips: "0" for no skips, otherwise comma skip tokens ("8-C,4-S").
+    skips: "0" for no skips, otherwise comma skip tokens ("8-C,4-S"). Lists
+    follow ``arch.parse_list``, as in a config file: blank is no items, and an
+    empty item raises.
     """
     token = token.strip()
     if axis == "encoder_filters":
@@ -142,14 +144,11 @@ def apply_variant(base: ModelConfig, axis: str, token: str) -> ModelConfig:
             if flag not in ("gc", "nogc"):
                 raise ConfigError(f"pyramid variant {token!r}: suffix must be ':gc' or ':nogc'")
             gc = flag == "gc"
-        bins = tuple(parse_int(axis, v) for v in bins_part.split(",") if v.strip())
+        bins = parse_list(bins_part, lambda v: parse_int(axis, v))
         enc = replace(base.encoder, pyramid_bins=bins, use_group_conv=gc)
         return replace(base, encoder=enc)
     if axis == "skips":
-        if token == "0":
-            return with_skips(base, ())
-        skips = tuple(parse_skip(t) for t in token.split(","))
-        return with_skips(base, skips)
+        return with_skips(base, () if token == "0" else parse_list(token, parse_skip))
     raise ConfigError(f"unknown ablation axis {axis!r}, expected one of {ABLATION_AXES}")
 
 

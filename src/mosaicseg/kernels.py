@@ -10,18 +10,30 @@ and the cost model:
 * Convolution (depthwise, pointwise and kxk), bilinear resize and affine work
   over row bands of their output: each band's float64 buffers hold about
   ``_BAND_BYTES``, are reused from band to band, and are rounded straight into
-  the preallocated float32 output. Every output element goes through the same
-  IEEE operations, in the same order, as whole-array evaluation, so the
-  results are bit-identical to it. Every conv kind runs through one band loop,
-  which pads per band: it copies the input rows a band reads into a
-  zero-padded float64 buffer, never padding the whole input.
+  the preallocated float32 output. A depthwise band is one output row, whose
+  taps, accumulator and padded input rows stay nearer the cache than a 1 MiB
+  band of a wide map would; its padded rows are a ring, so each input row is
+  copied into it once. Every output element goes through the same IEEE
+  operations, in the same order, as whole-array evaluation, so the results
+  are bit-identical to it. Every conv kind runs through one band loop, which
+  pads per band: it copies the input rows a band reads into a zero-padded
+  float64 buffer, never padding the whole input. That buffer is stored by
+  column phase, (rows, stride, ceil(width / stride), c), with padded column j
+  at [:, j % stride, j // stride], so every kernel tap, and every im2col copy,
+  reads one contiguous run per row even at stride 2. At stride 1 there is one
+  phase, the plain padded rows.
 * ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
-  is in cache: the band is rounded to float32 and checked, then widened again
-  for the affine, rounded and checked, then clamped at zero. These are the
-  steps of ``relu(affine_channels(conv2d(...)))``, so the result has its bits.
-  The first non-finite band raises, whichever step produced it; the unfused
-  kernels instead check the whole conv output before the affine runs.
+  is in cache: the band is rounded to float32, widened again for the affine,
+  rounded and checked, then clamped at zero. These are the steps of
+  ``relu(affine_channels(conv2d(...)))``, so the result has its bits. Such a
+  chain checks its one value once, at the affine, and not the conv's band as
+  well: a non-finite conv value stays non-finite through ``x * scale + bias``
+  (inf times a nonzero scale is inf, times 0 is NaN, and NaN stays NaN), and
+  the check runs before the ReLU, which would turn -inf into 0. So a fused
+  call reports any non-finite band as ``affine_channels``, whichever step made
+  it; the unfused kernels check the whole conv output before the affine runs,
+  and ``graph.execute`` reruns a failed chain unfused to name its node.
 * Bilinear resize defaults to corner-aligned sampling
   (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
   ``mode="half"`` selects half-pixel centers.
@@ -30,8 +42,8 @@ and the cost model:
 * argmax breaks ties toward the lowest channel index.
 * Kernels assume finite inputs. A kernel that can turn finite inputs into a
   non-finite value (conv, depthwise, pooling, resize, add, affine) checks its
-  output once, conv and affine band by band; ReLU, concat and argmax check
-  nothing.
+  output once, conv and affine band by band, a fused chain at its affine only;
+  ReLU, concat and argmax check nothing.
 
 All kernels are pure functions of their arguments and never mutate inputs.
 """
@@ -63,9 +75,12 @@ def same_pad(size: int, kernel: int, stride: int, dilation: int) -> tuple[int, i
 
 def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: ConvParams) -> np.ndarray:
     """The (n, out_w, c) samples that kernel column kj reads for n output rows,
-    the first of which reads padded row ``top``."""
-    s, d = params.stride, params.dilation
-    return padded[top: top + (n - 1) * s + 1: s, kj * d: kj * d + (out_w - 1) * s + 1: s]
+    the first of which reads padded row ``top``. ``padded`` is laid out by
+    column phase, (rows, stride, ceil(width / stride), c): padded column j sits
+    at [:, j % stride, j // stride], so each row of a tap is one contiguous run."""
+    s = params.stride
+    q, p = divmod(kj * params.dilation, s)
+    return padded[top: top + (n - 1) * s + 1: s, p, q: q + out_w]
 
 
 def _conv_args(fn: str, x, kernels, bias, params: ConvParams):
@@ -99,11 +114,14 @@ def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.
 
 def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndarray:
     """The banded convolution of every kind, with its epilogue. Per band: a
-    zero-padded float64 copy of the input rows the band reads, the kind's
-    accumulation into a float64 accumulator, the bias, then ``_finish_band``.
-    A depthwise band adds every tap, in (ki, kj) order, onto a zeroed
-    accumulator; any other band multiplies its im2col rows, laid out (n, out_w,
-    kernel_h, kernel_w, in_c), by each group's kernels."""
+    zero-padded float64 copy of the input rows the band reads, in the column
+    phases of ``_tap``, the kind's accumulation into a float64 accumulator,
+    the bias, then ``_finish_band``. A depthwise band is one output row: its
+    first tap's product is written to the accumulator, the other taps are
+    added in (ki, kj) order, then +0.0, so that a sum of only -0.0 products
+    is +0.0 as it is from a zero start. Any other band multiplies its im2col
+    rows, laid out (n, out_w, kernel_h, kernel_w, in_c), by each group's
+    kernels."""
     h, w, in_c = x.shape
     kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
     out_h, pad_t, _ = same_pad(h, kh, s, d)
@@ -111,9 +129,10 @@ def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndar
     c = params.out_c
     if affine is not None:
         affine = _affine_args(c, *affine)
+    kernel_taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
     if params.is_depthwise:
         k64 = kernels[:, :, 0, :].astype(np.float64)
-        step = _band_rows(out_h, out_w * c)
+        step = 1
     else:
         ig, og = in_c // params.groups, c // params.groups
         taps = kh * kw * ig
@@ -126,32 +145,41 @@ def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndar
     im2col = not (params.is_depthwise or kh == kw == s == 1)
     win_buf = np.empty((step, out_w, kh, kw, in_c)) if im2col else None
     span = (kh - 1) * d + 1
-    # pad columns stay 0; so do top pad rows, which only ever shrink from band to band
-    rows = np.zeros(((step - 1) * s + span, pad_l + w + pad_r, in_c))
+    # input columns x0, x0 + s, ... fill phase p from column q0 on
+    phases = []
+    for p in range(s):
+        x0 = (p - pad_l) % s
+        q0 = (pad_l + x0) // s
+        phases.append((p, x0, slice(q0, q0 + len(range(x0, w, s)))))
+    # pad columns stay 0; so do top pad rows, which only ever shrink from band
+    # to band. A depthwise conv keeps its span rows as a ring, padded row j at
+    # j % span, so that each input row is copied once and not span / s times.
+    rows = np.zeros(((step - 1) * s + span, s, -(-(pad_l + w + pad_r) // s), in_c))
     acc_buf = np.empty((step, out_w, c))
     tmp_buf = np.empty((step, out_w, c)) if params.is_depthwise else None
+    copied = -pad_t  # the first padded row not yet in the ring
     for r0 in range(0, out_h, step):
         n = min(step, out_h - r0)
         acc = acc_buf[:n]
         first = r0 * s - pad_t  # input row of the band's first padded row
-        band = rows[:(n - 1) * s + span]
-        lo, hi = max(first, 0), min(first + len(band), h)
-        band[lo - first:hi - first, pad_l:pad_l + w] = x[lo:hi]
-        band[hi - first:] = 0.0
         if params.is_depthwise:
-            tmp = tmp_buf[:n]
-            acc.fill(0.0)
-            for ki in range(kh):
-                for kj in range(kw):
-                    np.multiply(_tap(band, ki * d, n, out_w, kj, params), k64[ki, kj], out=tmp)
-                    acc += tmp
+            for j in range(max(first, copied), first + span):
+                _fill_rows(rows[j % span:j % span + 1], x, j, phases, s)
+            copied = first + span
+            np.multiply(_tap(rows, first % span, 1, out_w, 0, params), k64[0, 0], out=acc)
+            for ki, kj in kernel_taps[1:]:
+                tap = _tap(rows, (first + ki * d) % span, 1, out_w, kj, params)
+                np.multiply(tap, k64[ki, kj], out=tmp_buf)
+                acc += tmp_buf
+            acc += 0.0
         else:
+            band = rows[:(n - 1) * s + span]
+            _fill_rows(band, x, first, phases, s)
             win = band
             if win_buf is not None:
                 win = win_buf[:n]
-                for ki in range(kh):
-                    for kj in range(kw):
-                        win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, params)
+                for ki, kj in kernel_taps:
+                    win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, params)
             flat = acc.reshape(n * out_w, c)
             for g in range(params.groups):
                 block = win[..., g * ig:(g + 1) * ig].reshape(n * out_w, taps)
@@ -162,14 +190,27 @@ def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndar
     return out
 
 
+def _fill_rows(dst, x, first: int, phases, s: int):
+    """Copy input rows first, first + 1, ... into the padded rows ``dst`` by
+    column phase, and zero the rows past the input's last; rows before its
+    first are left as they are, zero."""
+    lo = max(first, 0)
+    hi = max(min(first + len(dst), len(x)), lo)
+    for p, x0, q in phases:
+        dst[lo - first:hi - first, p, q] = x[lo:hi, x0::s]
+    dst[hi - first:] = 0.0
+
+
 def _finish_band(acc, band, fn: str, affine, relu: bool):
-    """Round the float64 accumulator ``acc`` into the float32 output ``band``
-    and check it for ``fn``, then apply the epilogue to the band in place,
-    using ``acc`` as the affine's float64 scratch. The affine's result is
-    checked before the ReLU, which would turn -inf into 0."""
+    """Round the float64 accumulator ``acc`` into the float32 output ``band``,
+    then apply the epilogue to the band in place, using ``acc`` as the affine's
+    float64 scratch. Only the last value before the ReLU, which would turn
+    -inf into 0, is checked: ``fn``'s band, or the affine's result, which is
+    non-finite wherever ``fn``'s is (inf times a scale is inf or NaN)."""
     band[...] = acc
-    require_finite(band, fn)
-    if affine is not None:
+    if affine is None:
+        require_finite(band, fn)
+    else:
         _affine_band(band, band, *affine, acc)
     if relu:
         np.maximum(band, np.float32(0.0), out=band)
@@ -236,10 +277,11 @@ def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarr
     c0 = np.floor(src_c).astype(np.int64)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
-    fr = (src_r - r0)[:, None, None]
+    fr = src_r - r0
     fc = (src_c - c0)[:, None]
     fr0, fc0 = 1.0 - fr, 1.0 - fc
-    # column pass once over the source rows, then a row blend per output band
+    # column pass once over the source rows, then a row blend per output band,
+    # one output row at a time with scalar row weights
     cols = np.empty((h, out_w, c))
     step = _band_rows(h, out_w * c)
     tmp_buf = np.empty((step, out_w, c))
@@ -255,10 +297,9 @@ def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarr
     for a in range(0, out_h, step):
         b = min(a + step, out_h)
         top, bot = top_buf[:b - a], bot_buf[:b - a]
-        np.take(cols, r0[a:b], axis=0, out=top, mode="clip")
-        top *= fr0[a:b]
-        np.take(cols, r1[a:b], axis=0, out=bot, mode="clip")
-        bot *= fr[a:b]
+        for i in range(a, b):
+            np.multiply(cols[r0[i]], fr0[i], out=top[i - a])
+            np.multiply(cols[r1[i]], fr[i], out=bot[i - a])
         top += bot
         out[a:b] = top
     return require_finite(out, "bilinear_resize")

@@ -470,6 +470,46 @@ def test_config_empty_skips_means_no_skips():
     assert cfg.decoder.skips == ()
 
 
+# one list rule for config values and ablation tokens: a blank value is no
+# items, and an empty item in a non-blank list raises
+@pytest.mark.parametrize("line,match", [
+    ("pyramid_bins=4,,8", "config key pyramid_bins: expected integer, got ''"),
+    ("dilation_rows=15,16,", "config key dilation_rows: expected integer, got ''"),
+    ("skips=8-C,,4-S", "bad skip token ''"),
+    ("skips=8-C,", "bad skip token ''"),
+    ("skips= , ", "bad skip token ''"),
+])
+def test_config_empty_list_item_raises(line, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("axis,token,match", [
+    ("pyramid", "4,,8", "pyramid: expected integer, got ''"),
+    ("pyramid", "4,8,:nogc", "pyramid: expected integer, got ''"),
+    ("skips", "8-C,,4-S", "bad skip token ''"),
+])
+def test_ablation_token_empty_list_item_raises(axis, token, match):
+    with pytest.raises(ConfigError, match=match):
+        apply_variant(cityscapes_config(), axis, token)
+
+
+def test_blank_lists_are_empty_and_round_trip():
+    base = cityscapes_config()
+    assert apply_variant(base, "skips", " ") == apply_variant(base, "skips", "0")
+    assert apply_variant(base, "pyramid", "").encoder.pyramid_bins == ()
+    cfg = parse_config("skips=\ndilation_rows=\n")
+    assert (cfg.decoder.skips, cfg.dilation_rows) == ((), ())
+    text = dump_config(cfg)
+    assert "\nskips=\n" in text and "\ndilation_rows=\n" in text
+    assert parse_config(text) == cfg
+    # pyramid_bins= parses to (), which the encoder rejects after parsing
+    no_bins = replace(base, encoder=replace(base.encoder, pyramid_bins=()))
+    assert "\npyramid_bins=\n" in dump_config(no_bins)
+    with pytest.raises(ConfigError, match="^pyramid_bins must be nonempty$"):
+        parse_config(dump_config(no_bins))
+
+
 def test_config_bad_skip_token():
     with pytest.raises(ConfigError, match="skip token"):
         parse_config("skips=8-Q\n")

@@ -135,6 +135,23 @@ def test_ablate_bad_variant_exit_2(capsys, tiny_conf):
     assert "9-C" in err
 
 
+@pytest.mark.parametrize("axis,token,message", [
+    ("pyramid", "4,,8", "pyramid: expected integer, got ''"), ("skips", "8-C,,4-S", "bad skip token ''"),
+])
+def test_ablate_empty_list_item_exit_2(capsys, tiny_conf, axis, token, message):
+    code, out, err = run_cli(capsys, "ablate", tiny_conf, "--axis", axis, "--variants", token)
+    assert (code, out) == (2, "")
+    assert f"variant {token!r}: {message}" in err
+
+
+def test_describe_empty_list_item_config_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_text("skips=8-C,,4-S\n")
+    code, out, err = run_cli(capsys, "describe", str(path))
+    assert (code, out) == (2, "")
+    assert "bad skip token ''" in err
+
+
 @pytest.mark.parametrize("axis,token", [("encoder_filters", "1_6"), ("pyramid", "4,1_6")])
 def test_ablate_non_decimal_integer_exit_2(capsys, tiny_conf, axis, token):
     code, out, err = run_cli(capsys, "ablate", tiny_conf, "--axis", axis, "--variants", token)

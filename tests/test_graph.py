@@ -1,5 +1,7 @@
 import hashlib
 import importlib.util
+import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +18,8 @@ from mosaicseg.graph import (
 )
 from mosaicseg.tensor import ConvParams, TensorShape
 from mosaicseg.weights import WeightStore, init_weights
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of the float32 logits of ade20k_config() at 256x256 with
 # init_weights(model, 1) and a Philox(1) input, recorded with the whole-array
@@ -288,19 +292,47 @@ def test_ade20k_logits_golden_digest():
     assert hashlib.sha256(logits.tobytes()).hexdigest() == ADE20K_256_LOGITS_SHA256
 
 
+def benchmark_tracer():
+    """A perfbench ``Tracer`` over the package modules, not installed."""
+    from mosaicseg import arch, cost, graph, images, metrics, weights
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.Tracer({"arch": arch, "cost": cost, "graph": graph, "images": images,
+                           "kernels": kernels, "metrics": metrics, "weights": weights})
+
+
 def test_benchmark_tracer_finds_every_hook():
     # perfbench/tracing.py wraps package functions by module attribute name and
     # looks each one up when built, so a renamed or deleted hook fails here
-    from mosaicseg import arch, cost, graph, images, metrics, weights
-
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    ms = {"arch": arch, "cost": cost, "graph": graph, "images": images,
-          "kernels": kernels, "metrics": metrics, "weights": weights}
-    tracer = tracing.Tracer(ms)
+    tracer = benchmark_tracer()
     assert {"graph.topo_order", "graph.infer_shapes", "tensor.as_feature_map"} <= tracer.span_names
+
+
+def test_benchmark_trace_accounts_for_every_execute_second():
+    # the check `perfbench/run.py --trace 1` makes: the kernels, tensor and
+    # graph self times of a traced execute sum to its time by an outside clock,
+    # every span lies in its parent, and every name it reaches is a per-layer
+    # metric of BENCHMARK.json
+    from mosaicseg import graph
+
+    model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
+    store = init_weights(model, 1)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
+    tracer = benchmark_tracer()
+    tracer.item = 0
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        graph.execute(model.graph, store, x, fetch=[model.logits])
+        clock = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    scoped = tracer.scoped(tracer.self_times())
+    assert {name for name, *_ in scoped} >= {"kernels.depthwise_conv2d", "tensor.require_finite"}
+    assert tracer.check_accounting(scoped, names, {0: clock}) == []
 
 
 def conv_affine_graph(rng):
@@ -406,8 +438,10 @@ def test_execute_rejects_input_of_wrong_rank(rng, shape):
 
 def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     # the input once, then the output of each kernel that can create a
-    # non-finite value; no kernel re-scans its inputs. Kernels scan band by
-    # band, so the scanned elements are counted, not the calls.
+    # non-finite value; no kernel re-scans its inputs. A fused
+    # Conv->Affine(->ReLU) chain holds one array, scanned once, by its affine.
+    # Kernels scan band by band, so the scanned elements are counted, not the
+    # calls.
     checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "GlobalPool", "BilinearResize", "Add", "Affine")
     model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
     store = init_weights(model, 1)
@@ -421,10 +455,13 @@ def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
     execute(model.graph, store, x, fetch=[model.logits])
     graph, shapes = model.graph, model.shapes
+    chains = _fused_chains(graph, {model.logits})
+    assert chains
     # a resize to the input's own size returns a copy and checks nothing
     producers = [
         n for n, spec in graph.nodes.items() if spec.kind in checked
         and not (spec.kind == "BilinearResize" and shapes[n] == shapes[graph.inputs[n][0]])
+        and not (n in chains and chains[n][0] == n)
     ]
     assert sum(int(np.prod(shape)) for shape in calls) == x.size + sum(shapes[n].count for n in producers)
 

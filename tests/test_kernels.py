@@ -107,6 +107,24 @@ def test_conv_affine_overflow_raises_before_relu(params):
             kernels.conv2d(x, kern, None, params, affine=affine, relu=True)
 
 
+@pytest.mark.parametrize("params", [
+    ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 2, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
+], ids=["pointwise", "kxk", "depthwise"])
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+def test_conv_overflow_with_affine_is_reported_by_the_affine(params, scale):
+    # a fused chain checks only its last value before the ReLU: the conv's inf
+    # stays inf, or becomes NaN at a zero scale, through the affine
+    x = np.ones((6, 6, 4), dtype=np.float32)
+    kern = np.ones(params.kernel_shape(), dtype=np.float32)
+    kern[0, 0, 0, 1] = np.inf
+    affine = (np.full(4, scale, dtype=np.float32), np.zeros(4, dtype=np.float32))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^affine_channels produced non-finite values$"):
+        if params.is_depthwise:
+            kernels.depthwise_conv2d(x, kern, params, affine=affine, relu=True)
+        else:
+            kernels.conv2d(x, kern, None, params, affine=affine, relu=True)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dilation", [1, 2])
 @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -444,16 +462,24 @@ def test_kernels_deterministic(rng):
 
 # --- banded kernels: bit-identical to whole-array evaluation -------------------
 #
-# Each map spans at least three row bands with a partial last one, and holds
-# signed zeros, so a change of operation order (or of the zero start of the
-# depthwise accumulator) shows up as a differing bit.
+# Each map spans at least three row bands, with a partial last one where bands
+# hold several rows, and holds signed zeros, so a change of operation order (or
+# of the +0.0 start of the depthwise sum) shows up as a differing bit. At
+# stride 2, an even and an odd width between them give the 3x3, 5x5 and
+# dilated kernels both parities of left pad, so every column phase of a band
+# is filled from the first and from the second input column.
 
 def same_bits(got, want):
     return (got.dtype == want.dtype and got.shape == want.shape
             and np.array_equal(got.view(np.uint32), want.view(np.uint32)))
 
 
-def assert_spans_bands(n_rows, row_elems):
+def assert_spans_bands(n_rows, row_elems=None):
+    """``row_elems`` float64 values per band row; None for a depthwise conv,
+    whose bands are one output row each."""
+    if row_elems is None:
+        assert n_rows > 2, n_rows
+        return
     step = kernels._band_rows(n_rows, row_elems)
     assert n_rows > 2 * step and n_rows % step, (n_rows, step)
 
@@ -466,16 +492,20 @@ def signed_zero_map(rng, h, w, c):
     return x
 
 
-@pytest.mark.parametrize("kernel,stride,dilation", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 1, 4), (5, 2, 2)])
+@pytest.mark.parametrize("kernel,stride,dilation,odd_width", [
+    pytest.param(k, s, d, odd, id=f"{k}-{s}-{d}" + "-odd" * odd)
+    for k, s, d in [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 1, 4), (5, 2, 1), (3, 2, 2), (5, 2, 2)]
+    for odd in (False, True)
+])
 @pytest.mark.parametrize("with_bias", [False, True])
-def test_depthwise_bands_match_whole_array(rng, kernel, stride, dilation, with_bias):
+def test_depthwise_bands_match_whole_array(rng, kernel, stride, dilation, odd_width, with_bias):
     c = 96
-    x = signed_zero_map(rng, 100, 64 * stride, c)
+    x = signed_zero_map(rng, 100, 64 * stride + odd_width, c)
     params = ConvParams(kernel, kernel, stride, dilation, c, c, c)
     kern = rng.standard_normal((kernel, kernel, 1, c)).astype(np.float32)
     kern[rng.random(kern.shape) < 0.2] = -0.0
     bias = rng.standard_normal(c).astype(np.float32) if with_bias else None
-    assert_spans_bands(100, 64 * c)
+    assert_spans_bands(-(-100 // stride))
     before = x.copy()
     if with_bias:
         got = kernels.conv2d(x, kern, bias, params)
@@ -483,6 +513,28 @@ def test_depthwise_bands_match_whole_array(rng, kernel, stride, dilation, with_b
         got = kernels.depthwise_conv2d(x, kern, params)
     assert same_bits(got, oracles.depthwise_whole(x, kern, bias, params))
     assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("kernel,stride,dilation", [(1, 2, 1), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
+def test_depthwise_short_maps_match_whole_array(rng, kernel, stride, dilation):
+    # maps shorter than the kernel's span, and 1x1 kernels at stride 2, which
+    # skip input rows: the ring of padded rows holds pad rows at both ends
+    params = ConvParams(kernel, kernel, stride, dilation, 8, 8, 8)
+    kern = rng.standard_normal((kernel, kernel, 1, 8)).astype(np.float32)
+    for h in range(1, 8):
+        x = signed_zero_map(rng, h, 7, 8)
+        got = kernels.depthwise_conv2d(x, kern, params)
+        assert same_bits(got, oracles.depthwise_whole(x, kern, None, params)), h
+
+
+def test_depthwise_sum_of_negative_zeros_is_positive_zero(rng):
+    # every product, pad taps included, is -0.0; the reference sum starts at +0.0
+    params = ConvParams(3, 3, 2, 1, 8, 8, 8)
+    x = np.abs(rand_map(rng, 9, 11, 8))
+    kern = np.full((3, 3, 1, 8), -0.0, dtype=np.float32)
+    got = kernels.depthwise_conv2d(x, kern, params)
+    assert same_bits(got, oracles.depthwise_whole(x, kern, None, params))
+    assert not got.view(np.uint32).any()
 
 
 @pytest.mark.parametrize("groups,stride,with_bias", [(1, 1, True), (2, 2, True), (4, 1, False), (4, 2, True)])
@@ -498,13 +550,17 @@ def test_pointwise_bands_match_whole_array(rng, groups, stride, with_bias):
     assert same_bits(x, before)
 
 
-@pytest.mark.parametrize("groups,stride", [(1, 2), (2, 1)])
-def test_kxk_conv_bands_match_whole_array(rng, groups, stride):
-    x = signed_zero_map(rng, 100 * stride, 64 * stride, 8)
-    params = ConvParams(3, 3, stride, 1, groups, 8, 16)
+@pytest.mark.parametrize("groups,stride,kernel,dilation,odd_width", [
+    pytest.param(g, s, k, d, odd, id=f"{g}-{s}" + f"-k{k}" * (k != 3) + f"-d{d}" * (d != 1) + "-odd" * odd)
+    for g, s, k, d in [(1, 2, 3, 1), (2, 1, 3, 1), (1, 2, 5, 1), (1, 2, 3, 2), (2, 2, 5, 2)]
+    for odd in (False, True)
+])
+def test_kxk_conv_bands_match_whole_array(rng, groups, stride, kernel, dilation, odd_width):
+    x = signed_zero_map(rng, 101 * stride, 64 * stride + odd_width, 8)
+    params = ConvParams(kernel, kernel, stride, dilation, groups, 8, 16)
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     bias = rng.standard_normal(16).astype(np.float32)
-    assert_spans_bands(100, 64 * 3 * 3 * 8)
+    assert_spans_bands(101, (64 + odd_width) * kernel * kernel * 8)
     before = x.copy()
     got = kernels.conv2d(x, kern, bias, params)
     assert same_bits(got, oracles.conv_whole(x, kern, bias, params))
@@ -556,7 +612,7 @@ def test_conv_epilogue_bands_match_unfused_kernels(rng, case, with_relu):
     bias = rng.standard_normal(params.out_c).astype(np.float32)
     bias[::5] = 0.0
     taps = params.kernel_h * params.kernel_w * params.in_c
-    assert_spans_bands(100, 64 * (params.out_c if params.is_depthwise else max(taps, params.out_c)))
+    assert_spans_bands(100, None if params.is_depthwise else 64 * max(taps, params.out_c))
     before = x.copy()
     if params.is_depthwise:
         got = kernels.depthwise_conv2d(x, kern, params, affine=(scale, bias), relu=with_relu)
