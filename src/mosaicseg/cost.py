@@ -161,11 +161,14 @@ class AblationRow:
 
 def ablation_report(base_cfg: ModelConfig, axis: str, variants,
                     policy: CostPolicy = DEFAULT_POLICY) -> list[AblationRow]:
-    """One total per variant, emitted in input order; labels echo the tokens."""
+    """One total per variant, emitted in input order; labels echo the tokens,
+    so a blank token, which would label its row with nothing, is rejected."""
     if not variants:
         raise ConfigError("ablation needs at least one variant")
     rows = []
     for token in variants:
+        if not str(token).strip():
+            raise ConfigError(f"variant {token!r}: blank ablation token")
         try:
             cfg = apply_variant(base_cfg, axis, token)
             report = count_config(cfg, policy)

@@ -227,6 +227,8 @@ def weight_shapes(spec: NodeSpec) -> dict[str, tuple[int, ...]]:
 def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.ndarray:
     """Run one node; ``epilogue`` holds a conv kernel's fused affine and ReLU."""
     kind, p = spec.kind, spec.params
+    if kind == "Input":
+        return require_finite(ins[0], "input")
     if kind == "Conv":
         conv = p["conv"]
         bias = weights[f"{spec.name}/bias"] if p.get("bias", False) else None
@@ -307,15 +309,100 @@ def _epilogue(chain: tuple[str, ...], weights) -> dict:
             "relu": len(chain) == 3}
 
 
+@dataclass(frozen=True)
+class Step:
+    """One call of :func:`execute`: a streamed group of fused chains, one
+    chain, or one node (a chain of one). ``frees`` are the values dropped
+    after it; ``live_bytes`` are the float32 bytes of materialized node
+    outputs once its output exists, before those are dropped."""
+    chains: tuple[tuple[str, ...], ...]
+    frees: tuple[str, ...]
+    live_bytes: int
+
+    @property
+    def output(self) -> str:
+        return self.chains[-1][-1]
+
+
+def plan(graph: Graph, shapes: dict[str, TensorShape], fetch) -> list[Step]:
+    """The steps :func:`execute` runs, in order. Each chain of
+    :func:`_fused_chains` is one kernel call, and a chain whose last member is
+    not fetched and whose one consumer is the conv of another chain streams
+    into it, so only a group's last value is materialized. A value is dropped
+    after the step that reads it last, unless it is fetched; a step's own
+    output is dropped at once when nothing reads it."""
+    keep = set(fetch)
+    chains = _fused_chains(graph, keep)
+    counts = graph.consumers()
+    user = {ref: name for name in graph.order for ref in graph.inputs[name]}
+
+    def streamed_into(chain):
+        last = chain[-1]
+        if len(chain) == 1 or last in keep or counts[last] != 1 or user[last] not in chains:
+            return None
+        reader = chains[user[last]]
+        return reader if reader[0] == user[last] else None
+
+    steps, planned, remaining, live = [], set(), dict(counts), 0
+    for name in graph.order:
+        if name in planned:
+            continue
+        group = [chains.get(name, (name,))]
+        while (reader := streamed_into(group[-1])) is not None:
+            group.append(reader)
+        planned.update(member for chain in group for member in chain)
+        out = group[-1][-1]
+        live += 4 * shapes[out].count
+        frees = []
+        for ref in graph.inputs[name]:
+            remaining[ref] -= 1
+            if remaining[ref] == 0 and ref not in keep:
+                frees.append(ref)
+        if remaining[out] == 0 and out not in keep:
+            frees.append(out)
+        steps.append(Step(tuple(group), tuple(frees), live))
+        live -= sum(4 * shapes[ref].count for ref in frees)
+    return steps
+
+
+def _conv_stage(spec: NodeSpec, chain: tuple[str, ...], weights) -> tuple:
+    """A chain as a ``kernels.streamed_convs`` stage."""
+    p = spec.params
+    fn = "conv2d" if spec.kind == "Conv" else "depthwise_conv2d"
+    bias = weights[f"{spec.name}/bias"] if p.get("bias", False) else None
+    epilogue = _epilogue(chain, weights)
+    return (fn, weights[f"{spec.name}/kernel"], bias, p["conv"], epilogue["affine"], epilogue["relu"])
+
+
+def _run_chains(graph: Graph, weights, chains, ins: list[np.ndarray]) -> np.ndarray:
+    """The value of a step's last node, from the values ``ins`` its first node
+    reads. A group that raises ``NumericError`` is rerun chain by chain, and a
+    chain node by node, so the error names the node that made the non-finite
+    value, with the text of an unfused run."""
+    try:
+        if len(chains) > 1:
+            stages = [_conv_stage(graph.nodes[chain[0]], chain, weights) for chain in chains]
+            return kernels.streamed_convs(ins[0], stages)
+        chain = chains[0]
+        return _run_node(graph.nodes[chain[0]], ins, weights, **_epilogue(chain, weights))
+    except NumericError as exc:
+        if len(chains) == len(chains[0]) == 1:
+            name = chains[0][0]
+            raise NumericError(f"node {name} ({graph.nodes[name].kind}): {exc}") from exc
+    # rerun outside the handler, whose traceback holds the failed call's buffers
+    parts = [(chain,) for chain in chains] if len(chains) > 1 else [((name,),) for name in chains[0]]
+    for part in parts:
+        ins = [_run_chains(graph, weights, part, ins)]
+    return ins[0]
+
+
 def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.ndarray]:
     """Run the graph; returns {name: value} for fetch (default: outputs + taps).
 
-    Each chain of :func:`_fused_chains` runs as one kernel call at its conv,
-    and all its members hold the one output array. Intermediate buffers are
-    dropped as soon as their last consumer ran. A ``NumericError`` names the
-    node that produced the non-finite value: a chain whose call fails is
-    dropped from the plan and its conv rerun unfused, so its members run as
-    ordinary nodes and the first to fail is named.
+    Runs the steps of :func:`plan`: each streamed group, chain or node is
+    one kernel call, and its values are dropped after their last reader ran.
+    A ``NumericError`` names the node that produced the non-finite value (see
+    ``_run_chains``).
     """
     x = as_feature_map(x)
     shapes = infer_shapes(graph, shape_of(x))
@@ -325,40 +412,21 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     for name in fetch:
         if name not in graph.nodes:
             raise ConfigError(f"fetch references unknown node {name!r}")
-    keep = set(fetch)
-    chains = _fused_chains(graph, keep)
-    remaining = graph.consumers()
 
     values: dict[str, np.ndarray] = {}
     # every overflow or invalid value surfaces as a NumericError naming the node
     with np.errstate(over="ignore", invalid="ignore"):
-        for name in topo_order(graph):
-            spec = graph.nodes[name]
-            while True:
-                chain = chains.get(name, (name,))
-                try:
-                    if spec.kind == "Input":
-                        out = require_finite(x, "input")
-                    elif name == chain[0]:
-                        ins = [values[r] for r in graph.inputs[name]]
-                        out = _run_node(spec, ins, weights, **_epilogue(chain, weights))
-                    else:  # ran with the chain's conv; its input holds the same array
-                        out = values[graph.inputs[name][0]]
-                    break
-                except NumericError as exc:
-                    if len(chain) == 1:
-                        raise NumericError(f"node {name} ({spec.kind}): {exc}") from exc
-                # rerun outside the handler, whose traceback holds the failed call's output
-                for member in chain:
-                    del chains[member]
+        for step in plan(graph, shapes, fetch):
+            head = step.chains[0][0]
+            ins = [values[ref] for ref in graph.inputs[head]] if head != graph.source else [x]
+            out = _run_chains(graph, weights, step.chains, ins)
+            name = step.output
             got = shape_of(out)
             if got != shapes[name]:
                 raise ShapeError(f"node {name}: executed shape {got} != inferred {shapes[name]}")
             values[name] = out
-            for ref in graph.inputs[name]:
-                remaining[ref] -= 1
-                if remaining[ref] == 0 and ref not in keep:
-                    del values[ref]
+            for ref in step.frees:
+                del values[ref]
     return {name: values[name] for name in fetch}
 
 

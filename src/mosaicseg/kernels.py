@@ -10,18 +10,20 @@ and the cost model:
 * Convolution (depthwise, pointwise and kxk), bilinear resize and affine work
   over row bands of their output: each band's float64 buffers hold about
   ``_BAND_BYTES``, are reused from band to band, and are rounded straight into
-  the preallocated float32 output. A depthwise band is one output row, whose
-  taps, accumulator and padded input rows stay nearer the cache than a 1 MiB
-  band of a wide map would; its padded rows are a ring, so each input row is
-  copied into it once. Every output element goes through the same IEEE
-  operations, in the same order, as whole-array evaluation, so the results
-  are bit-identical to it. Every conv kind runs through one band loop, which
-  pads per band: it copies the input rows a band reads into a zero-padded
-  float64 buffer, never padding the whole input. That buffer is stored by
-  column phase, (rows, stride, ceil(width / stride), c), with padded column j
-  at [:, j % stride, j // stride], so every kernel tap, and every im2col copy,
-  reads one contiguous run per row even at stride 2. At stride 1 there is one
-  phase, the plain padded rows.
+  the preallocated float32 output. ``streamed_convs`` runs a sequence of
+  convolutions, each reading the one before, with every output but the last
+  held only as a ring of the rows its reader still needs. A depthwise band is
+  one output row, whose taps, accumulator and padded input rows stay nearer
+  the cache than a 1 MiB band of a wide map would; its padded rows are a
+  ring, so each input row is copied into it once. Every output element goes
+  through the same IEEE operations, in the same order, as whole-array
+  evaluation, so the results are bit-identical to it. Every conv kind runs
+  through one band loop, which pads per band: it copies the input rows a band
+  reads into a zero-padded float64 buffer, never padding the whole input.
+  That buffer is stored by column phase, (rows, stride, ceil(width / stride),
+  c), with padded column j at [:, j % stride, j // stride], so every kernel
+  tap, and every im2col copy, reads one contiguous run per row even at
+  stride 2. At stride 1 there is one phase, the plain padded rows.
 * ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32, widened again for the affine,
@@ -36,7 +38,8 @@ and the cost model:
   and ``graph.execute`` reruns a failed chain unfused to name its node.
 * Bilinear resize defaults to corner-aligned sampling
   (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
-  ``mode="half"`` selects half-pixel centers.
+  ``mode="half"`` selects half-pixel centers. Columns are blended first, one
+  source row at a time into a ring of two rows, then rows.
 * Average-pool grids use floor-based bin edges floor(i*size/grid), which tile
   the input exactly for any size/grid combination.
 * argmax breaks ties toward the lowest channel index.
@@ -83,11 +86,13 @@ def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: Conv
     return padded[top: top + (n - 1) * s + 1: s, p, q: q + out_w]
 
 
-def _conv_args(fn: str, x, kernels, bias, params: ConvParams):
-    """The checked float32 input, kernels and bias (or None) of a convolution."""
-    x = as_feature_map(x)
-    if x.shape[2] != params.in_c:
-        raise ShapeError(f"{fn}: input has {x.shape[2]} channels, params expect {params.in_c}")
+def _conv_args(fn: str, in_c: int, kernels, bias, params: ConvParams):
+    """The checked float32 kernels and bias (or None) of a convolution of an
+    ``in_c``-channel input."""
+    if fn == "depthwise_conv2d" and not params.is_depthwise:
+        raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
+    if in_c != params.in_c:
+        raise ShapeError(f"{fn}: input has {in_c} channels, params expect {params.in_c}")
     kernels = np.asarray(kernels, dtype=np.float32)
     if kernels.shape != params.kernel_shape():
         raise ShapeError(
@@ -97,7 +102,7 @@ def _conv_args(fn: str, x, kernels, bias, params: ConvParams):
         bias = np.asarray(bias, dtype=np.float32)
         if bias.shape != (params.out_c,):
             raise ShapeError(f"{fn}: bias length {bias.shape} != out_c {params.out_c}")
-    return x, kernels, bias
+    return kernels, bias
 
 
 def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.ndarray:
@@ -108,96 +113,189 @@ def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.
     [g*og, (g+1)*og). ``bias`` is a per-output-channel vector or None.
     ``affine`` and ``relu`` are the optional epilogue (module docstring).
     """
-    x, kernels, bias = _conv_args("conv2d", x, kernels, bias, params)
-    return _convolve("conv2d", x, kernels, bias, params, affine, relu)
+    return streamed_convs(x, [("conv2d", kernels, bias, params, affine, relu)])
 
 
-def _convolve(fn, x, kernels, bias, params: ConvParams, affine, relu) -> np.ndarray:
-    """The banded convolution of every kind, with its epilogue. Per band: a
-    zero-padded float64 copy of the input rows the band reads, in the column
-    phases of ``_tap``, the kind's accumulation into a float64 accumulator,
-    the bias, then ``_finish_band``. A depthwise band is one output row: its
-    first tap's product is written to the accumulator, the other taps are
-    added in (ki, kj) order, then +0.0, so that a sum of only -0.0 products
-    is +0.0 as it is from a zero start. Any other band multiplies its im2col
-    rows, laid out (n, out_w, kernel_h, kernel_w, in_c), by each group's
-    kernels."""
-    h, w, in_c = x.shape
-    kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
-    out_h, pad_t, _ = same_pad(h, kh, s, d)
-    out_w, pad_l, pad_r = same_pad(w, kw, s, d)
-    c = params.out_c
-    if affine is not None:
-        affine = _affine_args(c, *affine)
-    kernel_taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
-    if params.is_depthwise:
-        k64 = kernels[:, :, 0, :].astype(np.float64)
-        step = 1
-    else:
-        ig, og = in_c // params.groups, c // params.groups
-        taps = kh * kw * ig
-        w64 = [kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(taps, og)
-               for g in range(params.groups)]
-        step = _band_rows(out_h, out_w * max(kh * kw * in_c, c))
-    b64 = None if bias is None else bias.astype(np.float64)
-    out = np.empty((out_h, out_w, c), dtype=np.float32)
-    # a 1x1 stride-1 band is its own im2col block
-    im2col = not (params.is_depthwise or kh == kw == s == 1)
-    win_buf = np.empty((step, out_w, kh, kw, in_c)) if im2col else None
-    span = (kh - 1) * d + 1
-    # input columns x0, x0 + s, ... fill phase p from column q0 on
-    phases = []
-    for p in range(s):
-        x0 = (p - pad_l) % s
-        q0 = (pad_l + x0) // s
-        phases.append((p, x0, slice(q0, q0 + len(range(x0, w, s)))))
-    # pad columns stay 0; so do top pad rows, which only ever shrink from band
-    # to band. A depthwise conv keeps its span rows as a ring, padded row j at
-    # j % span, so that each input row is copied once and not span / s times.
-    rows = np.zeros(((step - 1) * s + span, s, -(-(pad_l + w + pad_r) // s), in_c))
-    acc_buf = np.empty((step, out_w, c))
-    tmp_buf = np.empty((step, out_w, c)) if params.is_depthwise else None
-    copied = -pad_t  # the first padded row not yet in the ring
-    for r0 in range(0, out_h, step):
-        n = min(step, out_h - r0)
-        acc = acc_buf[:n]
-        first = r0 * s - pad_t  # input row of the band's first padded row
-        if params.is_depthwise:
-            for j in range(max(first, copied), first + span):
-                _fill_rows(rows[j % span:j % span + 1], x, j, phases, s)
-            copied = first + span
-            np.multiply(_tap(rows, first % span, 1, out_w, 0, params), k64[0, 0], out=acc)
-            for ki, kj in kernel_taps[1:]:
-                tap = _tap(rows, (first + ki * d) % span, 1, out_w, kj, params)
-                np.multiply(tap, k64[ki, kj], out=tmp_buf)
-                acc += tmp_buf
-            acc += 0.0
-        else:
-            band = rows[:(n - 1) * s + span]
-            _fill_rows(band, x, first, phases, s)
-            win = band
-            if win_buf is not None:
-                win = win_buf[:n]
-                for ki, kj in kernel_taps:
-                    win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, params)
-            flat = acc.reshape(n * out_w, c)
-            for g in range(params.groups):
-                block = win[..., g * ig:(g + 1) * ig].reshape(n * out_w, taps)
-                np.matmul(block, w64[g], out=flat[:, g * og:(g + 1) * og])
-        if b64 is not None:
-            acc += b64
-        _finish_band(acc, out[r0:r0 + n], fn, affine, relu)
+def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) -> np.ndarray:
+    """Per-channel convolution with (kernel_h, kernel_w, 1, c) kernels; output
+    channel i depends only on input channel i. ``affine`` and ``relu`` are the
+    optional epilogue (module docstring)."""
+    return streamed_convs(x, [("depthwise_conv2d", kernels, None, params, affine, relu)])
+
+
+def streamed_convs(x, stages) -> np.ndarray:
+    """The output of a sequence of convolutions, each reading the one before.
+    A stage is ``(fn, kernels, bias, params, affine, relu)``, the arguments of
+    ``conv2d`` (``fn`` "conv2d") or ``depthwise_conv2d``. Every stage but the
+    last writes its bands into a ``_Ring`` that the next stage reads, so only
+    the last stage's output is allocated whole; each stage computes the bands
+    it computes alone, and the result has the bits of calling the stages one
+    after another. Once the last stage is done, the stages before it finish
+    their remaining bands, last first, so every value is checked."""
+    x = as_feature_map(x)
+    convs, shape = [], x.shape
+    for fn, kernels, bias, params, affine, relu in stages:
+        kernels, bias = _conv_args(fn, shape[2], kernels, bias, params)
+        convs.append(_Conv(fn, shape, kernels, bias, params, affine, relu))
+        shape = convs[-1].out_shape
+
+    def src(lo, hi):  # the rows of the materialized input
+        return ((lo, x[lo:hi]),)
+
+    rings = []
+    for conv, reader in zip(convs, convs[1:]):
+        rings.append(_Ring(conv, src, reader.reads))
+        src = rings[-1].rows
+    out = np.empty(shape, dtype=np.float32)
+    for _ in convs[-1].bands(src, lambda r0, n: out[r0:r0 + n]):
+        pass
+    for ring in reversed(rings):
+        ring.drain()
     return out
 
 
-def _fill_rows(dst, x, first: int, phases, s: int):
-    """Copy input rows first, first + 1, ... into the padded rows ``dst`` by
-    column phase, and zero the rows past the input's last; rows before its
-    first are left as they are, zero."""
+class _Ring:
+    """The output rows of ``conv``, computed band by band as a reader asks for
+    them and held in a ring of float32 rows, row j at j % len(buf): one
+    reader's widest read of ``reads`` rows plus one band, rounded up to whole
+    bands so that no band wraps. The reader asks for rows in increasing
+    order, never below its previous first row."""
+
+    def __init__(self, conv, src, reads: int):
+        out_h, out_w, c = conv.out_shape
+        n = conv.step
+        size = min(-(-(reads + n - 1) // n), -(-out_h // n)) * n
+        self.buf = np.empty((size, out_w, c), dtype=np.float32)
+        self.done = 0  # output rows computed so far
+        self._bands = conv.bands(src, self._dest)
+
+    def _dest(self, r0: int, n: int) -> np.ndarray:
+        j = r0 % len(self.buf)
+        return self.buf[j:j + n]
+
+    def rows(self, lo: int, hi: int):
+        """Rows lo .. hi - 1 as (first row, float32 rows) runs of the ring."""
+        while self.done < hi:
+            self.done = next(self._bands)
+        size = len(self.buf)
+        while lo < hi:
+            j = lo % size
+            n = min(hi - lo, size - j)
+            yield lo, self.buf[j:j + n]
+            lo += n
+
+    def drain(self):
+        for self.done in self._bands:
+            pass
+
+
+class _Conv:
+    """A convolution of any kind with its epilogue, set up for one input
+    shape; ``bands`` is the one band loop. Per band: a zero-padded float64
+    copy of the input rows the band reads, in the column phases of ``_tap``,
+    the kind's accumulation into a float64 accumulator, the bias, then
+    ``_finish_band``. A depthwise band is one output row: its first tap's
+    product is written to the accumulator, the other taps are added in
+    (ki, kj) order, then +0.0, so that a sum of only -0.0 products is +0.0 as
+    it is from a zero start. Any other band multiplies its im2col rows, laid
+    out (n, out_w, kernel_h, kernel_w, in_c), by each group's kernels."""
+
+    def __init__(self, fn, in_shape, kernels, bias, params: ConvParams, affine, relu):
+        h, w, in_c = in_shape
+        kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
+        out_h, self.pad_t, _ = same_pad(h, kh, s, d)
+        out_w, pad_l, pad_r = same_pad(w, kw, s, d)
+        c = params.out_c
+        self.fn, self.params, self.h, self.relu = fn, params, h, relu
+        self.out_shape = (out_h, out_w, c)
+        self.affine = None if affine is None else _affine_args(c, *affine)
+        self.k64, self.groups = None, ()
+        if params.is_depthwise:
+            self.k64 = kernels[:, :, 0, :].astype(np.float64)
+            self.step = 1
+        else:
+            # per group: its input channels, output channels and float64 kernels
+            ig, og = in_c // params.groups, c // params.groups
+            self.groups = [(slice(g * ig, (g + 1) * ig), slice(g * og, (g + 1) * og),
+                            kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(-1, og))
+                           for g in range(params.groups)]
+            self.step = _band_rows(out_h, out_w * max(kh * kw * in_c, c))
+        self.b64 = None if bias is None else bias.astype(np.float64)
+        self.span = (kh - 1) * d + 1
+        # input rows a band asks its source for at once; a depthwise band
+        # copies its new rows into its ring one at a time
+        self.reads = 1 if params.is_depthwise else (self.step - 1) * s + self.span
+        # input columns x0, x0 + s, ... fill phase p from column q0 on
+        self.phases = []
+        for p in range(s):
+            x0 = (p - pad_l) % s
+            q0 = (pad_l + x0) // s
+            self.phases.append((p, x0, slice(q0, q0 + len(range(x0, w, s)))))
+        self.row_shape = (s, -(-(pad_l + w + pad_r) // s), in_c)
+
+    def bands(self, src, dest):
+        """Compute the output bands in order, reading input rows lo .. hi - 1
+        as the (first row, rows) runs of ``src(lo, hi)`` and writing output
+        rows r0 .. r0 + n - 1 into ``dest(r0, n)``; yields r0 + n after each
+        band."""
+        p = self.params
+        kh, kw, s, d = p.kernel_h, p.kernel_w, p.stride, p.dilation
+        out_h, out_w, c = self.out_shape
+        h, step, span, phases = self.h, self.step, self.span, self.phases
+        kernel_taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
+        # a 1x1 stride-1 band is its own im2col block
+        im2col = not (p.is_depthwise or kh == kw == s == 1)
+        win_buf = np.empty((step, out_w, kh, kw, self.row_shape[2])) if im2col else None
+        # pad columns stay 0; so do top pad rows, which only ever shrink from
+        # band to band. A depthwise conv keeps its span rows as a ring, padded
+        # row j at j % span, so that each input row is copied once and not
+        # span / s times.
+        rows = np.zeros(((step - 1) * s + span, *self.row_shape))
+        acc_buf = np.empty((step, out_w, c))
+        tmp_buf = np.empty((step, out_w, c)) if p.is_depthwise else None
+        k64, b64 = self.k64, self.b64
+        copied = -self.pad_t  # the first padded row not yet in the ring
+        for r0 in range(0, out_h, step):
+            n = min(step, out_h - r0)
+            acc = acc_buf[:n]
+            first = r0 * s - self.pad_t  # input row of the band's first padded row
+            if p.is_depthwise:
+                for j in range(max(first, copied), first + span):
+                    _fill_rows(rows[j % span:j % span + 1], src, j, h, phases, s)
+                copied = first + span
+                np.multiply(_tap(rows, first % span, 1, out_w, 0, p), k64[0, 0], out=acc)
+                for ki, kj in kernel_taps[1:]:
+                    tap = _tap(rows, (first + ki * d) % span, 1, out_w, kj, p)
+                    np.multiply(tap, k64[ki, kj], out=tmp_buf)
+                    acc += tmp_buf
+                acc += 0.0
+            else:
+                band = rows[:(n - 1) * s + span]
+                _fill_rows(band, src, first, h, phases, s)
+                win = band
+                if win_buf is not None:
+                    win = win_buf[:n]
+                    for ki, kj in kernel_taps:
+                        win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, p)
+                flat = acc.reshape(n * out_w, c)
+                for cin, cout, w64 in self.groups:
+                    np.matmul(win[..., cin].reshape(n * out_w, -1), w64, out=flat[:, cout])
+            if b64 is not None:
+                acc += b64
+            _finish_band(acc, dest(r0, n), self.fn, self.affine, self.relu)
+            yield r0 + n
+
+
+def _fill_rows(dst, src, first: int, h: int, phases, s: int):
+    """Copy input rows first, first + 1, ... of an ``h``-row map, read through
+    ``src``, into the padded rows ``dst`` by column phase, and zero the rows
+    past the input's last; rows before its first are left as they are, zero."""
     lo = max(first, 0)
-    hi = max(min(first + len(dst), len(x)), lo)
-    for p, x0, q in phases:
-        dst[lo - first:hi - first, p, q] = x[lo:hi, x0::s]
+    hi = max(min(first + len(dst), h), lo)
+    if hi > lo:
+        for j, part in src(lo, hi):
+            for p, x0, q in phases:
+                dst[j - first:j - first + len(part), p, q] = part[:, x0::s]
     dst[hi - first:] = 0.0
 
 
@@ -214,16 +312,6 @@ def _finish_band(acc, band, fn: str, affine, relu: bool):
         _affine_band(band, band, *affine, acc)
     if relu:
         np.maximum(band, np.float32(0.0), out=band)
-
-
-def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) -> np.ndarray:
-    """Per-channel convolution with (kernel_h, kernel_w, 1, c) kernels; output
-    channel i depends only on input channel i. ``affine`` and ``relu`` are the
-    optional epilogue (module docstring)."""
-    if not params.is_depthwise:
-        raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
-    x, kernels, _ = _conv_args("depthwise_conv2d", x, kernels, None, params)
-    return _convolve("depthwise_conv2d", x, kernels, None, params, affine, relu)
 
 
 def avg_pool_grid(x, grid_h: int, grid_w: int) -> np.ndarray:
@@ -278,18 +366,32 @@ def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarr
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
     fr = src_r - r0
-    fc = (src_c - c0)[:, None]
-    fr0, fc0 = 1.0 - fr, 1.0 - fc
-    # column pass once over the source rows, then a row blend per output band,
-    # one output row at a time with scalar row weights
-    cols = np.empty((h, out_w, c))
-    step = _band_rows(h, out_w * c)
-    tmp_buf = np.empty((step, out_w, c))
-    for a in range(0, h, step):
-        band, tmp = cols[a:a + step], tmp_buf[:min(step, h - a)]
-        np.multiply(x[a:a + step, c0], fc0, out=band)
-        np.multiply(x[a:a + step, c1], fc, out=tmp)
-        band += tmp
+    fr0 = 1.0 - fr
+    # per-column weights, broadcast once to a source row's (out_w, c) shape
+    fc = np.repeat((src_c - c0)[:, None], c, axis=1)
+    fc0 = 1.0 - fc
+    # column-blended source rows, row r in slot r % 2: output rows read rows
+    # r0[i] and r1[i] <= r0[i] + 1, and r0 never decreases, so each row is
+    # blended once
+    ring = np.empty((2, out_w, c))
+    held = [-1, -1]
+    row64 = np.empty((w, c))
+    tmp = np.empty((out_w, c))
+
+    def blended(r):
+        col = ring[r % 2]
+        if held[r % 2] != r:
+            row64[...] = x[r]  # widened once, then gathered
+            np.take(row64, c0, axis=0, out=col)
+            np.take(row64, c1, axis=0, out=tmp)
+            col *= fc0
+            np.multiply(tmp, fc, out=tmp)
+            col += tmp
+            held[r % 2] = r
+        return col
+
+    # a row blend per output band, one output row at a time with scalar row
+    # weights; each band is rounded and checked while it is in cache
     out = np.empty((out_h, out_w, c), dtype=np.float32)
     step = _band_rows(out_h, out_w * c)
     top_buf = np.empty((step, out_w, c))
@@ -298,11 +400,12 @@ def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarr
         b = min(a + step, out_h)
         top, bot = top_buf[:b - a], bot_buf[:b - a]
         for i in range(a, b):
-            np.multiply(cols[r0[i]], fr0[i], out=top[i - a])
-            np.multiply(cols[r1[i]], fr[i], out=bot[i - a])
+            np.multiply(blended(r0[i]), fr0[i], out=top[i - a])
+            np.multiply(blended(r1[i]), fr[i], out=bot[i - a])
         top += bot
         out[a:b] = top
-    return require_finite(out, "bilinear_resize")
+        require_finite(out[a:b], "bilinear_resize")
+    return out
 
 
 def concat_channels(xs) -> np.ndarray:

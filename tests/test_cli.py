@@ -144,6 +144,15 @@ def test_ablate_empty_list_item_exit_2(capsys, tiny_conf, axis, token, message):
     assert f"variant {token!r}: {message}" in err
 
 
+@pytest.mark.parametrize("axis", ["skips", "pyramid", "encoder_filters", "decoder_filters"])
+@pytest.mark.parametrize("token", ["", " "])
+def test_ablate_blank_token_exit_2(capsys, tiny_conf, axis, token):
+    valid = "0" if axis == "skips" else "4"
+    code, out, err = run_cli(capsys, "ablate", tiny_conf, "--axis", axis, "--variants", valid, token)
+    assert (code, out) == (2, "")
+    assert f"variant {token!r}: blank ablation token" in err
+
+
 def test_describe_empty_list_item_config_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("skips=8-C,,4-S\n")

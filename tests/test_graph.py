@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from mosaicseg import kernels, reference
-from mosaicseg.arch import ade20k_config, build_model, cityscapes_config
+from mosaicseg.arch import ade20k_config, build_bneck, build_model, cityscapes_config
 from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
 from mosaicseg.graph import (
-    NODE_KINDS, Graph, NodeSpec, _fused_chains, describe_lines, execute, infer_shapes, topo_order,
+    NODE_KINDS, Graph, NodeSpec, _fused_chains, describe_lines, execute, infer_shapes, plan, topo_order,
     weight_shapes,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
@@ -331,7 +331,7 @@ def test_benchmark_trace_accounts_for_every_execute_second():
         tracer.uninstall()
     names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     scoped = tracer.scoped(tracer.self_times())
-    assert {name for name, *_ in scoped} >= {"kernels.depthwise_conv2d", "tensor.require_finite"}
+    assert {name for name, *_ in scoped} >= {"kernels.conv2d_1x1", "tensor.require_finite"}
     assert tracer.check_accounting(scoped, names, {0: clock}) == []
 
 
@@ -474,3 +474,76 @@ def test_describe_lines_cover_every_node():
     assert len(lines) == len(g.order)
     assert any("bias" in line for line in lines)
     assert any("[1:3]" in line for line in lines)
+
+
+@pytest.mark.parametrize("config,peak", [(cityscapes_config, 169_345_024), (ade20k_config, 35_651_584)])
+def test_plan_live_peak_of_the_pinned_configs(config, peak):
+    # the full-resolution logits and the map they are resized from; every
+    # bottleneck's expanded and depthwise maps stream through row rings
+    model = build_model(config())
+    steps = plan(model.graph, model.shapes, [model.logits])
+    top = max(steps, key=lambda step: step.live_bytes)
+    assert (top.live_bytes, top.output) == (peak, "head/upsample")
+    streamed = [step.chains for step in steps if len(step.chains) > 1]
+    assert len(streamed) == 22
+    assert (("backbone/bneck03/expand", "backbone/bneck03/expand/bn", "backbone/bneck03/expand/relu"),
+            ("backbone/bneck03/dw", "backbone/bneck03/dw/bn", "backbone/bneck03/dw/relu"),
+            ("backbone/bneck03/project", "backbone/bneck03/project/bn")) in streamed
+    ran = [name for step in steps for chain in step.chains for name in chain]
+    assert sorted(ran) == sorted(model.graph.order)
+
+
+def bneck_graph(rng, h=40, w=24, stride=2):
+    """input -> conv "stem" (1x1, 3->8) -> bottleneck "b" (8 -> 48 -> 8),
+    with every Affine a near identity; returns (graph, store, input)."""
+    g = Graph()
+    stem = g.add_node(conv_spec("stem", 3, 8, k=1), (g.source,))
+    g.outputs = [build_bneck(g, stem, "b", 8, 48, 8, 3, stride)]
+    store = WeightStore()
+    for name in g.order:
+        for role, shape in weight_shapes(g.nodes[name]).items():
+            draw = rng.standard_normal(shape) / np.sqrt(np.prod(shape[:-1]))
+            store[f"{name}/{role}"] = (1.0 + 0.1 * draw if role == "scale" else draw).astype(np.float32)
+    return g, store, rng.uniform(-1.0, 1.0, size=(h, w, 3)).astype(np.float32)
+
+
+BNECK = ("b/expand", "b/expand/bn", "b/expand/relu"), ("b/dw", "b/dw/bn", "b/dw/relu"), ("b/project", "b/project/bn")
+
+
+def test_plan_streams_a_bottleneck_and_a_kept_member_ends_its_group(rng):
+    g, store, x = bneck_graph(rng)
+    shapes = infer_shapes(g, TensorShape(40, 24, 3))
+    assert [step.chains for step in plan(g, shapes, ["b/project/bn"])][-1] == BNECK
+    want = execute(g, store, x, fetch=["b/project/bn"])["b/project/bn"]
+    unfused = execute(g, store, x, fetch=list(g.nodes))
+    assert np.array_equal(unfused["b/project/bn"].view(np.uint32), want.view(np.uint32))
+    g.add_tap("os_dw", "b/dw/relu")
+    for fetch in (["b/dw/relu", "b/project/bn"], None):
+        assert [step.chains for step in plan(g, shapes, fetch or ["b/dw/relu", "b/project/bn"])][-2:] == \
+            [BNECK[:2], BNECK[2:]]
+        got = execute(g, store, x, fetch=fetch)
+        assert np.array_equal(got["b/project/bn"].view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(got["b/dw/relu"].view(np.uint32), unfused["b/dw/relu"].view(np.uint32))
+
+
+@pytest.mark.parametrize("node,kind,fault", [
+    ("b/expand/bn", "Affine", "scale"),
+    ("b/dw", "DepthwiseConv", "kernel"),
+    ("b/project/bn", "Affine", "scale"),
+])
+def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kind, fault):
+    # the overflow is in the last rows only, so the group has streamed its
+    # first bands before it fails; the message is the unfused run's
+    g, store, x = bneck_graph(rng)
+    x[-2:] = 1e4
+    if fault == "scale":
+        store[f"{node}/scale"] = np.full_like(store[f"{node}/scale"], 1e36)
+    else:
+        store[f"{node}/kernel"] = store[f"{node}/kernel"] * np.float32(1e36)
+    assert plan(g, infer_shapes(g, TensorShape(40, 24, 3)), g.outputs)[-1].chains == BNECK
+    with pytest.raises(NumericError) as unfused:
+        execute(g, store, x, fetch=list(g.nodes))
+    assert str(unfused.value).startswith(f"node {node} ({kind}): ")
+    with pytest.raises(NumericError) as streamed:
+        execute(g, store, x)
+    assert str(streamed.value) == str(unfused.value)

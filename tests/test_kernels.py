@@ -626,3 +626,109 @@ def test_conv_epilogue_bands_match_unfused_kernels(rng, case, with_relu):
         want = kernels.relu(want)
     assert same_bits(got, want)
     assert same_bits(x, before)
+
+
+# A streamed group against the unfused kernels run one after another. Each
+# producer spans several bands with a partial last one, so its ring of rows
+# wraps, and readers ask for rows across the wrap.
+
+def stage(rng, params, relu=True, bias=False):
+    """A ``streamed_convs`` stage with random weights and signed zeros."""
+    fn = "depthwise_conv2d" if params.is_depthwise else "conv2d"
+    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
+    kern[rng.random(kern.shape) < 0.2] = -0.0
+    conv_bias = None
+    if bias and fn == "conv2d":
+        conv_bias = rng.standard_normal(params.out_c).astype(np.float32)
+    scale = rng.standard_normal(params.out_c).astype(np.float32)
+    scale[::7] = -0.0
+    shift = rng.standard_normal(params.out_c).astype(np.float32)
+    shift[::5] = 0.0
+    return (fn, kern, conv_bias, params, (scale, shift), relu)
+
+
+def unfused(x, stages):
+    for fn, kern, bias, params, affine, relu in stages:
+        if fn == "depthwise_conv2d":
+            x = kernels.depthwise_conv2d(x, kern, params)
+        else:
+            x = kernels.conv2d(x, kern, bias, params)
+        x = kernels.affine_channels(x, *affine)
+        if relu:
+            x = kernels.relu(x)
+    return x
+
+
+def pw(in_c, out_c, stride=1):
+    return ConvParams(1, 1, stride, 1, 1, in_c, out_c)
+
+
+def dw(c, kernel=3, stride=1, dilation=1):
+    return ConvParams(kernel, kernel, stride, dilation, c, c, c)
+
+
+# (input shape, params of each stage)
+STREAM_CASES = {
+    "pointwise-depthwise_s1": ((100, 64, 24), [pw(24, 96), dw(96)]),
+    "pointwise-depthwise_s2": ((101, 65, 24), [pw(24, 96), dw(96, stride=2)]),
+    "depthwise_5x5_d2-pointwise": ((100, 64, 96), [dw(96, 5, 1, 2), pw(96, 48)]),
+    "kxk-pointwise": ((200, 129, 8), [ConvParams(3, 3, 2, 1, 2, 8, 16), pw(16, 64)]),
+    "pointwise-kxk": ((100, 64, 8), [pw(8, 96), ConvParams(3, 3, 2, 1, 2, 96, 16)]),
+    "bottleneck": ((101, 128, 24), [pw(24, 96), dw(96, stride=2), pw(96, 40)]),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_streamed_convs_match_unfused_kernels(rng, case):
+    shape, params = STREAM_CASES[case]
+    x = signed_zero_map(rng, *shape)
+    stages = [stage(rng, p, relu=i < len(params) - 1, bias=i == 0) for i, p in enumerate(params)]
+    h, w = shape[:2]
+    for p in params:  # every banded stage's output spans several bands, the last partial
+        h, w = -(-h // p.stride), -(-w // p.stride)
+        if not p.is_depthwise:
+            assert_spans_bands(h, w * max(p.kernel_h * p.kernel_w * p.in_c, p.out_c))
+    before = x.copy()
+    got = kernels.streamed_convs(x, stages)
+    assert same_bits(got, unfused(x, stages))
+    assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("depthwise", [dw(8, 5, 1, 2), dw(8, 5, 2, 2), dw(8, 3, 2)])
+def test_streamed_convs_on_maps_shorter_than_the_span(rng, depthwise):
+    params = [pw(4, 8), depthwise, pw(8, 6)]
+    for h in range(1, 8):
+        x = signed_zero_map(rng, h, 7, 4)
+        stages = [stage(rng, p, relu=i < 2) for i, p in enumerate(params)]
+        assert same_bits(kernels.streamed_convs(x, stages), unfused(x, stages)), h
+
+
+def test_streamed_convs_check_rows_no_reader_reads(rng):
+    # a 1x1 stride-2 reader of an 8-row map never reads row 7; the producer,
+    # one row per band, still computes and checks it, as it does alone
+    x = rand_map(rng, 8, 256, 4)
+    x[7] = 3e38
+    assert kernels._band_rows(8, 256 * 512) == 1
+    scale = np.full(512, 1e10, dtype=np.float32)
+    stages = [("conv2d", np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
+              stage(rng, pw(512, 4, stride=2), relu=False)]
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="affine_channels produced non-finite"):
+        kernels.streamed_convs(x, stages)
+
+
+@pytest.mark.parametrize("mode", ["corner", "half"])
+@pytest.mark.parametrize("h,w,oh,ow", [
+    (9, 7, 40, 23), (40, 23, 9, 7), (13, 5, 1, 9), (1, 6, 11, 4), (1, 5, 1, 9), (7, 1, 3, 1),
+])
+def test_resize_ring_matches_whole_array(rng, mode, h, w, oh, ow):
+    x = signed_zero_map(rng, h, w, 19)
+    assert same_bits(kernels.bilinear_resize(x, oh, ow, mode), oracles.resize_whole(x, oh, ow, mode))
+
+
+@pytest.mark.parametrize("mode,oh", [("corner", 3), ("corner", 40), ("half", 6), ("half", 40)])
+def test_resize_inf_in_last_source_row_raises(rng, mode, oh):
+    # every output row count here reads the last source row
+    x = rand_map(rng, 12, 8, 5)
+    x[-1, 4, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="bilinear_resize produced non-finite values"):
+        kernels.bilinear_resize(x, oh, 10, mode)
