@@ -6,9 +6,9 @@ report: ``backbone/`` (tailored MobileNet-Multi-Hardware trunk, output stride
 convolutions), ``decoder/`` (hybrid concat/sum merge blocks over lateral
 skips), and ``head/`` (linear classifier + final upsample).
 
-Every convolution is followed by a folded-affine (inference-time batch norm)
-and ReLU unless built linear: bottleneck projections and sum-merge skip
-projections carry affine only, the classifier carries bias only.
+Every convolution is one node that carries a folded affine (inference-time
+batch norm) and a ReLU unless built linear: bottleneck projections and
+sum-merge skip projections carry the affine only, the classifier a bias only.
 """
 
 import re
@@ -175,24 +175,16 @@ class Model:
 
 
 def _conv_unit(graph, inp, name, conv: ConvParams, *, relu=True, affine=True, bias=False):
-    """Conv followed by optional folded affine and ReLU; returns the last node."""
-    ref = graph.add_node(NodeSpec(name, "Conv", {"conv": conv, "bias": bias}), (inp,))
-    if affine:
-        ref = graph.add_node(
-            NodeSpec(f"{name}/bn", "Affine", {"channels": conv.out_c}), (ref,)
-        )
-    if relu:
-        ref = graph.add_node(NodeSpec(f"{name}/relu", "Relu"), (ref,))
-    return ref
+    """One Conv node with its optional bias, folded affine and ReLU."""
+    params = {"conv": conv, "bias": bias, "affine": affine, "relu": relu}
+    return graph.add_node(NodeSpec(name, "Conv", params), (inp,))
 
 
 def _depthwise_unit(graph, inp, name, channels, kernel, stride, dilation, *, relu=True):
+    """One DepthwiseConv node with its folded affine and optional ReLU."""
     conv = ConvParams(kernel, kernel, stride, dilation, channels, channels, channels)
-    ref = graph.add_node(NodeSpec(name, "DepthwiseConv", {"conv": conv}), (inp,))
-    ref = graph.add_node(NodeSpec(f"{name}/bn", "Affine", {"channels": channels}), (ref,))
-    if relu:
-        ref = graph.add_node(NodeSpec(f"{name}/relu", "Relu"), (ref,))
-    return ref
+    params = {"conv": conv, "affine": True, "relu": relu}
+    return graph.add_node(NodeSpec(name, "DepthwiseConv", params), (inp,))
 
 
 def build_bneck(graph, inp, name, in_c, exp_size, out_c, kernel, stride, dilation=1):
@@ -343,14 +335,8 @@ def build_decoder(graph, encoded, taps, cfg: ModelConfig, tap_widths):
             width = dec.dec_filters
         else:
             ref = build_sum_merge(graph, ref, taps[tap], merge, width, tap_widths[tap])
-    ref = graph.add_node(
-        NodeSpec(
-            "head/classifier",
-            "Conv",
-            {"conv": ConvParams(1, 1, 1, 1, 1, width, cfg.num_classes), "bias": True},
-        ),
-        (ref,),
-    )
+    ref = _conv_unit(graph, ref, "head/classifier", ConvParams(1, 1, 1, 1, 1, width, cfg.num_classes),
+                     relu=False, affine=False, bias=True)
     return graph.add_node(
         NodeSpec("head/upsample", "BilinearResize", {"out_h": cfg.input_h, "out_w": cfg.input_w}),
         (ref,),

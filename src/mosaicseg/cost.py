@@ -1,15 +1,15 @@
 """Analytical multiply-add and parameter counting over a shaped graph.
 
 Default policy counts one madd per multiply-accumulate in conv/depthwise
-kernels and nothing else; pooling, resizing, additions and affine transforms
-cost zero. The "include-everything" policy adds one op per produced (or
-reduced) element for those kinds, for sensitivity analysis only.
+kernels and nothing else; pooling, resizing, additions and a conv's affine
+epilogue cost zero. The "include-everything" policy adds one op per produced
+(or reduced) element for those, for sensitivity analysis only; a ReLU is free
+under both.
 
 Conv and DepthwiseConv, with taps = kernel_h*kernel_w*in_c/groups (in_c/groups
 is 1 for a depthwise conv):
-    madds = out_h*out_w*out_c*taps, params = taps*out_c (+ out_c for a biased Conv)
-Affine:
-    params = 2c
+    madds = out_h*out_w*out_c*taps, params = taps*out_c
+    (+ out_c with a bias, + 2*out_c with an affine)
 """
 
 import csv
@@ -62,12 +62,13 @@ def count_node(spec, in_shapes, out_shape: TensorShape, policy: CostPolicy = DEF
             raise ShapeError(f"node {spec.name}: shape {in_shapes[0]} inconsistent with {conv}")
         taps = conv.kernel_h * conv.kernel_w * conv.in_c // conv.groups
         madds, params = out_shape.count * taps, taps * conv.out_c
-        if kind == "Conv" and p.get("bias", False):
+        if p.get("bias", False):
             params += conv.out_c
+        if p.get("affine", False):
+            params += 2 * conv.out_c
+            if policy.count_non_mac:
+                madds += out_shape.count
         return madds, params
-    if kind == "Affine":
-        madds = out_shape.count if policy.count_non_mac else 0
-        return madds, 2 * p["channels"]
     if policy.count_non_mac:
         if kind in ("AvgPoolGrid", "GlobalPool"):
             return in_shapes[0].count, 0  # one accumulate per pooled element

@@ -9,10 +9,13 @@ channel-range views (needed to lower grouped multi-kernel convolutions).
 ``argmax_channels`` is a kernel but no kind: callers apply it to the fetched
 logits.
 
-Parameterized kinds read their weights from a mapping with role-suffixed
-keys, as :func:`weight_shapes` lists them: ``<name>/kernel`` and optional
-``<name>/bias`` for Conv, ``<name>/kernel`` for DepthwiseConv,
-``<name>/scale`` and ``<name>/bias`` for Affine.
+A Conv or DepthwiseConv node carries its epilogue as boolean params: ``bias``
+(Conv only), ``affine`` (a folded inference-time batch norm) and ``relu``,
+which the conv kernel applies band by band. Its value is the one after the
+epilogue. Conv nodes read their weights from a mapping with role-suffixed
+keys, as :func:`weight_shapes` lists them: ``<name>/kernel``, then
+``<name>/bias`` with ``bias``, then ``<name>/bn/scale`` and ``<name>/bn/bias``
+with ``affine``.
 """
 
 from dataclasses import dataclass, field
@@ -34,11 +37,11 @@ _ARITY = {
     "BilinearResize": 1,
     "ConcatChannels": (1, None),
     "Add": 2,
-    "Affine": 1,
-    "Relu": 1,
     "Slice": 1,
 }
 NODE_KINDS = tuple(_ARITY)
+# a conv's epilogue, each flag False when absent
+_CONV_FLAGS = ("bias", "affine", "relu")
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,17 @@ class NodeSpec:
 
 
 def _validate_params(kind, params, name):
-    if kind == "Conv":
+    if kind in ("Conv", "DepthwiseConv"):
         conv = params.get("conv")
-        if not isinstance(conv, ConvParams):
+        if kind == "Conv" and not isinstance(conv, ConvParams):
             raise ConfigError(f"node {name}: Conv requires a 'conv' ConvParams entry")
-    elif kind == "DepthwiseConv":
-        conv = params.get("conv")
-        if not isinstance(conv, ConvParams) or not conv.is_depthwise:
+        if kind == "DepthwiseConv" and not (isinstance(conv, ConvParams) and conv.is_depthwise):
             raise ConfigError(f"node {name}: DepthwiseConv requires depthwise ConvParams")
+        for flag in _CONV_FLAGS:
+            if not isinstance(params.get(flag, False), bool):
+                raise ConfigError(f"node {name}: {kind} flag {flag!r} must be a bool")
+        if kind == "DepthwiseConv" and params.get("bias", False):
+            raise ConfigError(f"node {name}: DepthwiseConv takes no bias")
     elif kind == "AvgPoolGrid":
         gh, gw = params.get("grid_h", 0), params.get("grid_w", 0)
         if gh < 1 or gw < 1:
@@ -72,9 +78,6 @@ def _validate_params(kind, params, name):
             raise ConfigError(f"node {name}: resize target must be positive, got {oh}x{ow}")
         if params.get("mode", "corner") not in kernels.VALID_RESIZE_MODES:
             raise ConfigError(f"node {name}: bad resize mode {params.get('mode')!r}")
-    elif kind == "Affine":
-        if params.get("channels", 0) < 1:
-            raise ConfigError(f"node {name}: Affine needs a positive 'channels'")
     elif kind == "Slice":
         start, stop = params.get("start", -1), params.get("stop", -1)
         if start < 0 or stop <= start:
@@ -181,14 +184,6 @@ def _infer_node(spec: NodeSpec, in_shapes: list[TensorShape]) -> TensorShape:
                 f"node {spec.name}: add shape mismatch {in_shapes[0]} vs {in_shapes[1]}"
             )
         return in_shapes[0]
-    if kind == "Affine":
-        if in_shapes[0].c != p["channels"]:
-            raise ShapeError(
-                f"node {spec.name}: affine expects {p['channels']} channels, got {in_shapes[0].c}"
-            )
-        return in_shapes[0]
-    if kind == "Relu":
-        return in_shapes[0]
     if kind == "Slice":
         s = in_shapes[0]
         if p["stop"] > s.c:
@@ -213,28 +208,37 @@ def infer_shapes(graph: Graph, input_shape: TensorShape) -> dict[str, TensorShap
 
 def weight_shapes(spec: NodeSpec) -> dict[str, tuple[int, ...]]:
     """The node's weight entries as {role: shape}, in store order."""
-    p = spec.params
-    if spec.kind == "Affine":
-        return {"scale": (p["channels"],), "bias": (p["channels"],)}
     if spec.kind not in ("Conv", "DepthwiseConv"):
         return {}
-    conv: ConvParams = p["conv"]
-    if spec.kind == "Conv" and p.get("bias", False):
-        return {"kernel": conv.kernel_shape(), "bias": (conv.out_c,)}
-    return {"kernel": conv.kernel_shape()}
+    p, conv = spec.params, spec.params["conv"]
+    shapes = {"kernel": conv.kernel_shape()}
+    if p.get("bias", False):
+        shapes["bias"] = (conv.out_c,)
+    if p.get("affine", False):
+        shapes["bn/scale"] = shapes["bn/bias"] = (conv.out_c,)
+    return shapes
 
 
-def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.ndarray:
-    """Run one node; ``epilogue`` holds a conv kernel's fused affine and ReLU."""
+def _conv_stage(spec: NodeSpec, weights) -> tuple:
+    """A conv node's ``kernels.streamed_convs`` stage: its kernel function's
+    name and that function's arguments, ``(fn, kernels, bias, params, affine,
+    relu)``."""
+    p, name = spec.params, spec.name
+    fn = "conv2d" if spec.kind == "Conv" else "depthwise_conv2d"
+    bias = weights[f"{name}/bias"] if p.get("bias", False) else None
+    affine = (weights[f"{name}/bn/scale"], weights[f"{name}/bn/bias"]) if p.get("affine", False) else None
+    return fn, weights[f"{name}/kernel"], bias, p["conv"], affine, p.get("relu", False)
+
+
+def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
     kind, p = spec.kind, spec.params
     if kind == "Input":
         return require_finite(ins[0], "input")
-    if kind == "Conv":
-        conv = p["conv"]
-        bias = weights[f"{spec.name}/bias"] if p.get("bias", False) else None
-        return kernels.conv2d(ins[0], weights[f"{spec.name}/kernel"], bias, conv, **epilogue)
-    if kind == "DepthwiseConv":
-        return kernels.depthwise_conv2d(ins[0], weights[f"{spec.name}/kernel"], p["conv"], **epilogue)
+    if kind in ("Conv", "DepthwiseConv"):
+        fn, kern, bias, conv, affine, relu = _conv_stage(spec, weights)
+        if fn == "conv2d":
+            return kernels.conv2d(ins[0], kern, bias, conv, affine, relu)
+        return kernels.depthwise_conv2d(ins[0], kern, conv, affine, relu)
     if kind == "AvgPoolGrid":
         return kernels.avg_pool_grid(ins[0], p["grid_h"], p["grid_w"])
     if kind == "GlobalPool":
@@ -245,12 +249,6 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights, **epilogue) -> np.
         return kernels.concat_channels(ins)
     if kind == "Add":
         return kernels.add_elementwise(ins[0], ins[1])
-    if kind == "Affine":
-        return kernels.affine_channels(
-            ins[0], weights[f"{spec.name}/scale"], weights[f"{spec.name}/bias"]
-        )
-    if kind == "Relu":
-        return kernels.relu(ins[0])
     if kind == "Slice":
         return ins[0][:, :, p["start"]:p["stop"]].copy()
     raise ConfigError(f"cannot execute node kind {kind}")
@@ -273,85 +271,44 @@ def check_weights(graph: Graph, weights) -> None:
             raise ShapeError(f"weight {key}: shape {got} does not match node spec {shape}")
 
 
-def _fused_chains(graph: Graph, keep) -> dict[str, tuple[str, ...]]:
-    """The Conv or DepthwiseConv -> Affine (-> Relu) chains that run as one
-    kernel call, keyed by each member. A member is followed by the next only
-    when that is its one consumer and the member is not in ``keep``, so no
-    other node reads a value the chain never materializes."""
-    counts = graph.consumers()
-    user = {ref: name for name in graph.order for ref in graph.inputs[name]}
-
-    def next_member(name, kind):
-        if name in keep or counts[name] != 1 or graph.nodes[user[name]].kind != kind:
-            return None
-        return user[name]
-
-    chains: dict[str, tuple[str, ...]] = {}
-    for name in graph.order:
-        if graph.nodes[name].kind not in ("Conv", "DepthwiseConv"):
-            continue
-        affine = next_member(name, "Affine")
-        if affine is None:
-            continue
-        relu = next_member(affine, "Relu")
-        chain = (name, affine) if relu is None else (name, affine, relu)
-        for member in chain:
-            chains[member] = chain
-    return chains
-
-
-def _epilogue(chain: tuple[str, ...], weights) -> dict:
-    """The affine and ReLU arguments of a chain's conv kernel call."""
-    if len(chain) == 1:
-        return {}
-    affine = chain[1]
-    return {"affine": (weights[f"{affine}/scale"], weights[f"{affine}/bias"]),
-            "relu": len(chain) == 3}
-
-
 @dataclass(frozen=True)
 class Step:
-    """One call of :func:`execute`: a streamed group of fused chains, one
-    chain, or one node (a chain of one). ``frees`` are the values dropped
-    after it; ``live_bytes`` are the float32 bytes of materialized node
-    outputs once its output exists, before those are dropped."""
-    chains: tuple[tuple[str, ...], ...]
+    """One call of :func:`execute`: a streamed group of convs, or one node.
+    ``frees`` are the values dropped after it; ``live_bytes`` are the float32
+    bytes of materialized node outputs once its output exists, before those
+    are dropped."""
+    nodes: tuple[str, ...]
     frees: tuple[str, ...]
     live_bytes: int
 
     @property
     def output(self) -> str:
-        return self.chains[-1][-1]
+        return self.nodes[-1]
 
 
 def plan(graph: Graph, shapes: dict[str, TensorShape], fetch) -> list[Step]:
-    """The steps :func:`execute` runs, in order. Each chain of
-    :func:`_fused_chains` is one kernel call, and a chain whose last member is
-    not fetched and whose one consumer is the conv of another chain streams
-    into it, so only a group's last value is materialized. A value is dropped
-    after the step that reads it last, unless it is fetched; a step's own
-    output is dropped at once when nothing reads it."""
+    """The steps :func:`execute` runs, in order. A conv that is not fetched and
+    whose one consumer is a conv streams into it, so only a group's last value
+    is materialized. A value is dropped after the step that reads it last,
+    unless it is fetched; a step's own output is dropped at once when nothing
+    reads it."""
     keep = set(fetch)
-    chains = _fused_chains(graph, keep)
     counts = graph.consumers()
     user = {ref: name for name in graph.order for ref in graph.inputs[name]}
+    convs = {name for name, spec in graph.nodes.items() if spec.kind in ("Conv", "DepthwiseConv")}
 
-    def streamed_into(chain):
-        last = chain[-1]
-        if len(chain) == 1 or last in keep or counts[last] != 1 or user[last] not in chains:
-            return None
-        reader = chains[user[last]]
-        return reader if reader[0] == user[last] else None
+    def streams(name):
+        return name in convs and name not in keep and counts[name] == 1 and user[name] in convs
 
     steps, planned, remaining, live = [], set(), dict(counts), 0
     for name in graph.order:
         if name in planned:
             continue
-        group = [chains.get(name, (name,))]
-        while (reader := streamed_into(group[-1])) is not None:
-            group.append(reader)
-        planned.update(member for chain in group for member in chain)
-        out = group[-1][-1]
+        group = [name]
+        while streams(group[-1]):
+            group.append(user[group[-1]])
+        planned.update(group)
+        out = group[-1]
         live += 4 * shapes[out].count
         frees = []
         for ref in graph.inputs[name]:
@@ -365,44 +322,30 @@ def plan(graph: Graph, shapes: dict[str, TensorShape], fetch) -> list[Step]:
     return steps
 
 
-def _conv_stage(spec: NodeSpec, chain: tuple[str, ...], weights) -> tuple:
-    """A chain as a ``kernels.streamed_convs`` stage."""
-    p = spec.params
-    fn = "conv2d" if spec.kind == "Conv" else "depthwise_conv2d"
-    bias = weights[f"{spec.name}/bias"] if p.get("bias", False) else None
-    epilogue = _epilogue(chain, weights)
-    return (fn, weights[f"{spec.name}/kernel"], bias, p["conv"], epilogue["affine"], epilogue["relu"])
-
-
-def _run_chains(graph: Graph, weights, chains, ins: list[np.ndarray]) -> np.ndarray:
+def _run_step(graph: Graph, weights, nodes: tuple[str, ...], ins: list[np.ndarray]) -> np.ndarray:
     """The value of a step's last node, from the values ``ins`` its first node
-    reads. A group that raises ``NumericError`` is rerun chain by chain, and a
-    chain node by node, so the error names the node that made the non-finite
-    value, with the text of an unfused run."""
+    reads. A streamed group that raises ``NumericError`` is rerun node by node,
+    so the error names the first node that made a non-finite value."""
     try:
-        if len(chains) > 1:
-            stages = [_conv_stage(graph.nodes[chain[0]], chain, weights) for chain in chains]
-            return kernels.streamed_convs(ins[0], stages)
-        chain = chains[0]
-        return _run_node(graph.nodes[chain[0]], ins, weights, **_epilogue(chain, weights))
+        if len(nodes) > 1:
+            return kernels.streamed_convs(ins[0], [_conv_stage(graph.nodes[n], weights) for n in nodes])
+        return _run_node(graph.nodes[nodes[0]], ins, weights)
     except NumericError as exc:
-        if len(chains) == len(chains[0]) == 1:
-            name = chains[0][0]
-            raise NumericError(f"node {name} ({graph.nodes[name].kind}): {exc}") from exc
+        if len(nodes) == 1:
+            raise NumericError(f"node {nodes[0]} ({graph.nodes[nodes[0]].kind}): {exc}") from exc
     # rerun outside the handler, whose traceback holds the failed call's buffers
-    parts = [(chain,) for chain in chains] if len(chains) > 1 else [((name,),) for name in chains[0]]
-    for part in parts:
-        ins = [_run_chains(graph, weights, part, ins)]
+    for name in nodes:
+        ins = [_run_step(graph, weights, (name,), ins)]
     return ins[0]
 
 
 def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.ndarray]:
     """Run the graph; returns {name: value} for fetch (default: outputs + taps).
 
-    Runs the steps of :func:`plan`: each streamed group, chain or node is
-    one kernel call, and its values are dropped after their last reader ran.
-    A ``NumericError`` names the node that produced the non-finite value (see
-    ``_run_chains``).
+    Runs the steps of :func:`plan`: each streamed group or node is one kernel
+    call, and its values are dropped after their last reader ran. A
+    ``NumericError`` names the node that produced the non-finite value (see
+    ``_run_step``).
     """
     x = as_feature_map(x)
     shapes = infer_shapes(graph, shape_of(x))
@@ -417,9 +360,9 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     # every overflow or invalid value surfaces as a NumericError naming the node
     with np.errstate(over="ignore", invalid="ignore"):
         for step in plan(graph, shapes, fetch):
-            head = step.chains[0][0]
+            head = step.nodes[0]
             ins = [values[ref] for ref in graph.inputs[head]] if head != graph.source else [x]
-            out = _run_chains(graph, weights, step.chains, ins)
+            out = _run_step(graph, weights, step.nodes, ins)
             name = step.output
             got = shape_of(out)
             if got != shapes[name]:
@@ -450,15 +393,11 @@ def _param_summary(spec: NodeSpec) -> str:
             f"k={conv.kernel_h}x{conv.kernel_w} s={conv.stride} d={conv.dilation} "
             f"g={conv.groups} {conv.in_c}->{conv.out_c}"
         )
-        if p.get("bias", False):
-            parts += " bias"
-        return parts
+        return parts + "".join(f" {flag}" for flag in _CONV_FLAGS if p.get(flag, False))
     if spec.kind == "AvgPoolGrid":
         return f"grid={p['grid_h']}x{p['grid_w']}"
     if spec.kind == "BilinearResize":
         return f"to={p['out_h']}x{p['out_w']} {p.get('mode', 'corner')}"
-    if spec.kind == "Affine":
-        return f"c={p['channels']}"
     if spec.kind == "Slice":
         return f"[{p['start']}:{p['stop']}]"
     return "-"

@@ -28,14 +28,14 @@ and the cost model:
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32, widened again for the affine,
   rounded and checked, then clamped at zero. These are the steps of
-  ``relu(affine_channels(conv2d(...)))``, so the result has its bits. Such a
-  chain checks its one value once, at the affine, and not the conv's band as
-  well: a non-finite conv value stays non-finite through ``x * scale + bias``
-  (inf times a nonzero scale is inf, times 0 is NaN, and NaN stays NaN), and
-  the check runs before the ReLU, which would turn -inf into 0. So a fused
-  call reports any non-finite band as ``affine_channels``, whichever step made
-  it; the unfused kernels check the whole conv output before the affine runs,
-  and ``graph.execute`` reruns a failed chain unfused to name its node.
+  ``relu(affine_channels(conv2d(...)))``, so the result has its bits. A call
+  with an affine checks its one value once, at the affine, and not the conv's
+  band as well: a non-finite conv value stays non-finite through
+  ``x * scale + bias`` (inf times a nonzero scale is inf, times 0 is NaN, and
+  NaN stays NaN), and the check runs before the ReLU, which would turn -inf
+  into 0. So such a call reports any non-finite band as ``affine_channels``,
+  whichever step made it; ``graph.execute`` names the conv node, after
+  rerunning a failed streamed group one conv at a time.
 * Bilinear resize defaults to corner-aligned sampling
   (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
   ``mode="half"`` selects half-pixel centers. Columns are blended first, one
@@ -45,8 +45,8 @@ and the cost model:
 * argmax breaks ties toward the lowest channel index.
 * Kernels assume finite inputs. A kernel that can turn finite inputs into a
   non-finite value (conv, depthwise, pooling, resize, add, affine) checks its
-  output once, conv and affine band by band, a fused chain at its affine only;
-  ReLU, concat and argmax check nothing.
+  output once, conv and affine band by band, a conv with an affine epilogue at
+  its affine only; ReLU, concat and argmax check nothing.
 
 All kernels are pure functions of their arguments and never mutate inputs.
 """

@@ -85,7 +85,7 @@ def init_weights(model_or_graph, seed: int) -> WeightStore:
             if role == "kernel":  # fan-in: every dimension but the output channels
                 std = 1.0 / np.sqrt(math.prod(shape[:-1]))
                 store[f"{name}/{role}"] = rng.normal(0.0, std, size=shape).astype(np.float32)
-            elif role == "scale":
+            elif role == "bn/scale":
                 store[f"{name}/{role}"] = np.ones(shape, dtype=np.float32)
             else:  # bias
                 store[f"{name}/{role}"] = np.zeros(shape, dtype=np.float32)

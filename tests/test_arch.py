@@ -80,7 +80,7 @@ def test_backbone_stride2_row_output_shape():
     # bneck 5x5 / exp 160 / out 64 / s 2 maps 56^2x32 -> 28^2x64 at a 224 input
     g = backbone_graph()
     shapes = infer_shapes(g, TensorShape(224, 224, 3))
-    assert shapes["backbone/bneck04/project/bn"] == TensorShape(28, 28, 64)
+    assert shapes["backbone/bneck04/project"] == TensorShape(28, 28, 64)
 
 
 def test_backbone_param_tally_matches_independent_arithmetic():
@@ -116,10 +116,10 @@ def test_bneck_zeroed_weights_is_identity(rng):
     for name in g.order:
         spec = g.nodes[name]
         if spec.kind in ("Conv", "DepthwiseConv"):
-            store[f"{name}/kernel"] = np.zeros(spec.params["conv"].kernel_shape(), np.float32)
-        elif spec.kind == "Affine":
-            store[f"{name}/scale"] = np.ones(spec.params["channels"], np.float32)
-            store[f"{name}/bias"] = np.zeros(spec.params["channels"], np.float32)
+            conv = spec.params["conv"]
+            store[f"{name}/kernel"] = np.zeros(conv.kernel_shape(), np.float32)
+            store[f"{name}/bn/scale"] = np.ones(conv.out_c, np.float32)
+            store[f"{name}/bn/bias"] = np.zeros(conv.out_c, np.float32)
     g.outputs = [out]
     x = rng.standard_normal((6, 6, 4)).astype(np.float32)
     assert np.array_equal(execute(g, store, x)[out], x)
@@ -232,11 +232,11 @@ def test_decoder_concat_merge_node_structure():
     g = model.graph
     merge = [n for n in g.order if n.startswith("decoder/merge_os8/")]
     kinds = [g.nodes[n].kind for n in merge]
-    # concat, conv+bn+relu, dw+bn+relu, conv+bn+relu
-    assert kinds == ["ConcatChannels", "Conv", "Affine", "Relu",
-                     "DepthwiseConv", "Affine", "Relu", "Conv", "Affine", "Relu"]
-    compute = [k for k in kinds if k in ("ConcatChannels", "Conv", "DepthwiseConv")]
-    assert len(compute) == 4  # concat + conv + depthwise + conv
+    # concat, then conv, depthwise and conv, each with bn and relu
+    assert kinds == ["ConcatChannels", "Conv", "DepthwiseConv", "Conv"]
+    for name in merge[1:]:
+        params = g.nodes[name].params
+        assert (params["affine"], params["relu"], params.get("bias", False)) == (True, True, False), name
 
 
 def test_decoder_sum_merge_is_linear_projection_plus_add():
@@ -244,8 +244,10 @@ def test_decoder_sum_merge_is_linear_projection_plus_add():
     g = model.graph
     merge = [n for n in g.order if n.startswith("decoder/merge_os4/")]
     kinds = [g.nodes[n].kind for n in merge]
-    assert kinds == ["Conv", "Affine", "Add"]  # projection is linear: no relu
-    proj = g.nodes["decoder/merge_os4/skip_proj"].params["conv"]
+    assert kinds == ["Conv", "Add"]
+    params = g.nodes["decoder/merge_os4/skip_proj"].params
+    assert (params["affine"], params["relu"]) == (True, False)  # projection is linear: no relu
+    proj = params["conv"]
     assert (proj.in_c, proj.out_c) == (32, 64)
 
 
@@ -356,16 +358,17 @@ def test_model_logits_shape_law():
 
 
 def test_model_node_count_matches_block_tally():
-    # source 1; stem conv+bn+relu 3; 16 bottlenecks of 8 primitives + 10 residuals;
-    # endpoint conv 3; encoder: 3 levels x (pool + 2x(slice+dw3+pw3) + concat +
-    # resize) + concat + aggregate 3; decoder: resize + concat-merge 10 + resize +
-    # sum-merge 3; head: classifier + upsample.
+    # a conv carries its bn and relu, so each is one node. Source 1; stem 1;
+    # 16 bottlenecks of 3 convs + 10 residuals; endpoint conv 1; encoder: 3
+    # levels x (pool + 2x(slice+dw+pw) + concat + resize) + concat +
+    # aggregate; decoder: resize + concat-merge 4 + resize + sum-merge 2;
+    # head: classifier + upsample.
     model = build_model(cityscapes_config())
-    backbone = 3 + 16 * 8 + 10 + 3
-    encoder = 3 * (1 + 2 * 7 + 1 + 1) + 1 + 3
-    decoder = 1 + 10 + 1 + 3
+    backbone = 1 + 16 * 3 + 10 + 1
+    encoder = 3 * (1 + 2 * 3 + 1 + 1) + 1 + 1
+    decoder = 1 + 4 + 1 + 2
     head = 2
-    assert len(model.graph.order) == 1 + backbone + encoder + decoder + head
+    assert len(model.graph.order) == 1 + backbone + encoder + decoder + head == 100
 
 
 @pytest.mark.parametrize("key,value", [("input_h", 0), ("input_w", -16)])

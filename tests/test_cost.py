@@ -48,11 +48,16 @@ def test_endpoint_conv_count():
 def test_relu_and_structural_nodes_are_free():
     shape = TensorShape(10, 10, 8)
     for kind, params in [
-        ("Relu", {}), ("ConcatChannels", {}), ("Add", {}),
+        ("ConcatChannels", {}), ("Add", {}),
         ("GlobalPool", {}), ("Slice", {"start": 0, "stop": 4}),
     ]:
         madds, params_n = count_node(NodeSpec("n", kind, params), [shape], shape)
         assert (madds, params_n) == (0, 0)
+    conv = ConvParams(3, 3, 1, 1, 8, 8, 8)
+    for policy in (DEFAULT_POLICY, INCLUSIVE_POLICY):
+        plain = count_node(NodeSpec("n", "DepthwiseConv", {"conv": conv}), [shape], shape, policy)
+        with_relu = count_node(NodeSpec("n", "DepthwiseConv", {"conv": conv, "relu": True}), [shape], shape, policy)
+        assert with_relu == plain
 
 
 @pytest.mark.parametrize("config", [cityscapes_config, ade20k_config])
@@ -62,10 +67,27 @@ def test_cost_params_match_the_weight_store(config):
     assert count_model(model).total_params == sum(v.size for _, v in store.items())
 
 
+@pytest.mark.parametrize("config,totals", [
+    (cityscapes_config, [20_513_895_936, 21_045_958_144, 1_720_339]),
+    (ade20k_config, [2_612_890_624, 2_693_999_616, 1_761_024]),
+])
+def test_cost_totals_of_the_pinned_configs(config, totals):
+    # [madds, include-everything madds, params], recorded at commit c6758e5,
+    # whose graphs held each batch norm and ReLU as a node of its own
+    model = build_model(config())
+    report, inclusive = count_model(model), count_model(model, INCLUSIVE_POLICY)
+    assert [report.total_madds, inclusive.total_madds, report.total_params] == totals
+
+
 def test_affine_params_counted_madds_free():
-    shape = TensorShape(6, 6, 32)
-    madds, params = count_node(NodeSpec("n", "Affine", {"channels": 32}), [shape], shape)
-    assert (madds, params) == (0, 64)
+    # 2c params; one op per output element only under include-everything
+    p = ConvParams(1, 1, 1, 1, 1, 16, 32)
+    plain = NodeSpec("n", "Conv", {"conv": p})
+    affine = NodeSpec("n", "Conv", {"conv": p, "affine": True, "relu": True})
+    shapes = [TensorShape(6, 6, 16)], TensorShape(6, 6, 32)
+    madds, params = count_node(plain, *shapes)
+    assert count_node(affine, *shapes) == (madds, params + 64)
+    assert count_node(affine, *shapes, INCLUSIVE_POLICY) == (madds + 6 * 6 * 32, params + 64)
 
 
 def test_classifier_bias_adds_params():

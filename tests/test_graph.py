@@ -13,7 +13,7 @@ from mosaicseg.arch import ade20k_config, build_bneck, build_model, cityscapes_c
 from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
 from mosaicseg.graph import (
-    NODE_KINDS, Graph, NodeSpec, _fused_chains, describe_lines, execute, infer_shapes, plan, topo_order,
+    NODE_KINDS, Graph, NodeSpec, describe_lines, execute, infer_shapes, plan, topo_order,
     weight_shapes,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
@@ -28,9 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 ADE20K_256_LOGITS_SHA256 = "01b17bfab2998e8db977e18e005b3694c3a4b4a9dd233ab213628802803548b0"
 
 
-def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, groups=1, bias=False):
+def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, groups=1, bias=False, affine=False, relu=False):
     return NodeSpec(name, "Conv", {
-        "conv": ConvParams(k, k, stride, dilation, groups, in_c, out_c), "bias": bias,
+        "conv": ConvParams(k, k, stride, dilation, groups, in_c, out_c),
+        "bias": bias, "affine": affine, "relu": relu,
     })
 
 
@@ -52,13 +53,30 @@ def test_weight_shapes_in_store_order():
     assert list(weight_shapes(conv_spec("c", 4, 6, groups=2, bias=True)).items()) == [
         ("kernel", (3, 3, 2, 6)), ("bias", (6,)),
     ]
-    assert weight_shapes(conv_spec("c", 4, 6)) == {"kernel": (3, 3, 4, 6)}
-    dw = NodeSpec("d", "DepthwiseConv", {"conv": ConvParams(5, 5, 1, 1, 4, 4, 4)})
-    assert weight_shapes(dw) == {"kernel": (5, 5, 1, 4)}
-    assert list(weight_shapes(NodeSpec("a", "Affine", {"channels": 6})).items()) == [
-        ("scale", (6,)), ("bias", (6,)),
+    assert weight_shapes(conv_spec("c", 4, 6, relu=True)) == {"kernel": (3, 3, 4, 6)}
+    # the affine's entries follow the conv's, which keeps the entry order of
+    # existing MOSW files
+    assert list(weight_shapes(conv_spec("c", 4, 6, bias=True, affine=True)).items()) == [
+        ("kernel", (3, 3, 4, 6)), ("bias", (6,)), ("bn/scale", (6,)), ("bn/bias", (6,)),
     ]
-    assert weight_shapes(NodeSpec("r", "Relu")) == {}
+    dw = NodeSpec("d", "DepthwiseConv", {"conv": ConvParams(5, 5, 1, 1, 4, 4, 4), "affine": True})
+    assert list(weight_shapes(dw).items()) == [("kernel", (5, 5, 1, 4)), ("bn/scale", (4,)), ("bn/bias", (4,))]
+    assert weight_shapes(NodeSpec("p", "GlobalPool")) == {}
+
+
+@pytest.mark.parametrize("flag", ["bias", "affine", "relu"])
+@pytest.mark.parametrize("value", [1, 0, "true", None, np.bool_(True)])
+def test_conv_flags_must_be_bools(flag, value):
+    for kind, conv in (("Conv", ConvParams(1, 1, 1, 1, 1, 4, 4)), ("DepthwiseConv", ConvParams(3, 3, 1, 1, 4, 4, 4))):
+        with pytest.raises(ConfigError, match=f"node n: {kind} flag '{flag}' must be a bool"):
+            NodeSpec("n", kind, {"conv": conv, flag: value})
+
+
+def test_depthwise_conv_rejects_bias():
+    conv = ConvParams(3, 3, 1, 1, 4, 4, 4)
+    with pytest.raises(ConfigError, match="node d: DepthwiseConv takes no bias"):
+        NodeSpec("d", "DepthwiseConv", {"conv": conv, "bias": True})
+    assert weight_shapes(NodeSpec("d", "DepthwiseConv", {"conv": conv, "bias": False})) == {"kernel": (3, 3, 1, 4)}
 
 
 def test_add_node_after_source():
@@ -71,20 +89,20 @@ def test_add_node_after_source():
 def test_self_reference_is_cycle_error():
     g = Graph()
     with pytest.raises(ConfigError, match="cycle"):
-        g.add_node(NodeSpec("loop", "Relu"), ("loop",))
+        g.add_node(NodeSpec("loop", "GlobalPool"), ("loop",))
 
 
 def test_duplicate_name_rejected():
     g = Graph()
-    g.add_node(NodeSpec("r", "Relu"), (g.source,))
+    g.add_node(NodeSpec("r", "GlobalPool"), (g.source,))
     with pytest.raises(ConfigError, match="duplicate"):
-        g.add_node(NodeSpec("r", "Relu"), (g.source,))
+        g.add_node(NodeSpec("r", "GlobalPool"), (g.source,))
 
 
 def test_dangling_reference_rejected():
     g = Graph()
     with pytest.raises(ConfigError, match="unknown input"):
-        g.add_node(NodeSpec("r", "Relu"), ("ghost",))
+        g.add_node(NodeSpec("r", "GlobalPool"), ("ghost",))
 
 
 def test_arity_checks():
@@ -99,14 +117,14 @@ def test_topo_linear_chain_is_insertion_order():
     g = Graph()
     prev = g.source
     for i in range(5):
-        prev = g.add_node(NodeSpec(f"r{i}", "Relu"), (prev,))
+        prev = g.add_node(NodeSpec(f"r{i}", "GlobalPool"), (prev,))
     assert topo_order(g) == g.order
 
 
 def test_topo_diamond():
     g = Graph()
-    a = g.add_node(NodeSpec("a", "Relu"), (g.source,))
-    b = g.add_node(NodeSpec("b", "Relu"), (g.source,))
+    a = g.add_node(NodeSpec("a", "GlobalPool"), (g.source,))
+    b = g.add_node(NodeSpec("b", "GlobalPool"), (g.source,))
     cat = g.add_node(NodeSpec("cat", "ConcatChannels"), (a, b))
     order = topo_order(g)
     assert order[0] == g.source
@@ -115,8 +133,8 @@ def test_topo_diamond():
 
 def test_topo_detects_cycle():
     g = Graph()
-    g.add_node(NodeSpec("a", "Relu"), (g.source,))
-    g.add_node(NodeSpec("b", "Relu"), ("a",))
+    g.add_node(NodeSpec("a", "GlobalPool"), (g.source,))
+    g.add_node(NodeSpec("b", "GlobalPool"), ("a",))
     g.inputs["a"] = ("b",)  # force a cycle behind the API
     with pytest.raises(ConfigError, match="cycle"):
         topo_order(g)
@@ -127,8 +145,8 @@ def test_topo_random_dags_respect_predecessors(rng):
         g = Graph()
         names = [g.source]
         for i in range(int(rng.integers(3, 12))):
-            kind = rng.choice(["Relu", "Add", "ConcatChannels"])
-            if kind == "Relu":
+            kind = rng.choice(["GlobalPool", "Add", "ConcatChannels"])
+            if kind == "GlobalPool":
                 inputs = (str(rng.choice(names)),)
             elif kind == "Add":
                 pick = str(rng.choice(names))
@@ -170,31 +188,32 @@ def test_infer_shapes_names_failing_node():
 
 
 def test_execute_single_relu(rng):
+    # a conv whose only epilogue is a ReLU, as no builder makes it
     g = Graph()
-    r = g.add_node(NodeSpec("r", "Relu"), (g.source,))
+    r = g.add_node(conv_spec("r", 2, 3, relu=True), (g.source,))
     g.outputs = [r]
+    store = WeightStore({"r/kernel": rng.standard_normal((3, 3, 2, 3)).astype(np.float32)})
     x = rng.standard_normal((4, 4, 2)).astype(np.float32)
-    out = execute(g, WeightStore(), x)
-    assert np.array_equal(out[r], kernels.relu(x))
+    out = execute(g, store, x)
+    want = kernels.relu(kernels.conv2d(x, store["r/kernel"], None, g.nodes[r].params["conv"]))
+    assert np.array_equal(out[r].view(np.uint32), want.view(np.uint32))
 
 
 def test_execute_matches_hand_composition(rng):
-    # conv -> affine -> relu pipeline vs composing kernels by hand
+    # a conv node with affine and ReLU vs composing kernels by hand
     g = Graph()
-    c = g.add_node(conv_spec("c", 3, 5, stride=2), (g.source,))
-    a = g.add_node(NodeSpec("a", "Affine", {"channels": 5}), (c,))
-    r = g.add_node(NodeSpec("r", "Relu"), (a,))
-    g.outputs = [r]
+    c = g.add_node(conv_spec("c", 3, 5, stride=2, affine=True, relu=True), (g.source,))
+    g.outputs = [c]
     params = g.nodes[c].params["conv"]
     store = WeightStore()
     store["c/kernel"] = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    store["a/scale"] = rng.standard_normal(5).astype(np.float32)
-    store["a/bias"] = rng.standard_normal(5).astype(np.float32)
+    store["c/bn/scale"] = rng.standard_normal(5).astype(np.float32)
+    store["c/bn/bias"] = rng.standard_normal(5).astype(np.float32)
     x = rng.standard_normal((9, 11, 3)).astype(np.float32)
-    got = execute(g, store, x)[r]
+    got = execute(g, store, x)[c]
     want = kernels.relu(
         kernels.affine_channels(
-            kernels.conv2d(x, store["c/kernel"], None, params), store["a/scale"], store["a/bias"]
+            kernels.conv2d(x, store["c/kernel"], None, params), store["c/bn/scale"], store["c/bn/bias"]
         )
     )
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
@@ -202,7 +221,7 @@ def test_execute_matches_hand_composition(rng):
 
 def test_execute_shape_agreement_random_graphs(rng):
     # executed shapes equal inferred shapes on randomized small graphs
-    kinds = ["Relu", "GlobalPool", "Add", "ConcatChannels", "BilinearResize", "Slice"]
+    kinds = ["GlobalPool", "Add", "ConcatChannels", "BilinearResize", "Slice"]
     for trial in range(50):
         g = Graph()
         refs = [g.source]
@@ -211,7 +230,7 @@ def test_execute_shape_agreement_random_graphs(rng):
             kind = str(rng.choice(kinds))
             src = str(rng.choice(refs))
             name = f"n{i}"
-            if kind == "Relu" or kind == "GlobalPool":
+            if kind == "GlobalPool":
                 ref = g.add_node(NodeSpec(name, kind), (src,))
                 channels[name] = channels[src]
             elif kind == "Add":
@@ -260,7 +279,7 @@ def test_execute_weight_shape_mismatch(rng):
 
 def test_execute_rejects_orphan_weights(rng):
     g = Graph()
-    r = g.add_node(NodeSpec("r", "Relu"), (g.source,))
+    r = g.add_node(NodeSpec("r", "GlobalPool"), (g.source,))
     g.outputs = [r]
     store = WeightStore()
     store["stray/kernel"] = np.zeros((1, 1, 1, 1), dtype=np.float32)
@@ -270,7 +289,7 @@ def test_execute_rejects_orphan_weights(rng):
 
 def test_execute_default_fetch_returns_outputs_and_taps(rng):
     g = Graph()
-    a = g.add_node(NodeSpec("a", "Relu"), (g.source,))
+    a = g.add_node(NodeSpec("a", "Slice", {"start": 0, "stop": 1}), (g.source,))
     b = g.add_node(NodeSpec("b", "GlobalPool"), (a,))
     g.outputs = [b]
     g.add_tap("mid", a)
@@ -335,16 +354,14 @@ def test_benchmark_trace_accounts_for_every_execute_second():
     assert tracer.check_accounting(scoped, names, {0: clock}) == []
 
 
-def conv_affine_graph(rng):
-    """input -> conv c (3x3, 3->4) -> affine a, with finite weights."""
+def conv_affine_graph(rng, relu=False):
+    """input -> conv c (3x3, 3->4) with an affine, with finite weights."""
     g = Graph()
-    c = g.add_node(conv_spec("c", 3, 4), (g.source,))
-    a = g.add_node(NodeSpec("a", "Affine", {"channels": 4}), (c,))
-    g.outputs = [a]
+    g.outputs = [g.add_node(conv_spec("c", 3, 4, affine=True, relu=relu), (g.source,))]
     store = WeightStore()
     store["c/kernel"] = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-    store["a/scale"] = np.ones(4, dtype=np.float32)
-    store["a/bias"] = np.zeros(4, dtype=np.float32)
+    store["c/bn/scale"] = np.ones(4, dtype=np.float32)
+    store["c/bn/bias"] = np.zeros(4, dtype=np.float32)
     return g, store
 
 
@@ -357,76 +374,57 @@ def test_execute_nan_input_names_input_node(rng):
 
 
 def test_execute_inf_weight_names_conv_node(rng):
+    # a conv with an affine checks its band once, after the affine, so the
+    # kernel reports the affine step whichever step made the value
     g, store = conv_affine_graph(rng)
     store["c/kernel"][1, 1, 0, 2] = np.inf
+    x = rng.standard_normal((5, 5, 3)).astype(np.float32)
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): affine_channels produced non-finite"):
+        execute(g, store, x)
+    plain = Graph()
+    plain.outputs = [plain.add_node(conv_spec("c", 3, 4), (plain.source,))]
     with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
-        execute(g, store, rng.standard_normal((5, 5, 3)).astype(np.float32))
+        execute(plain, WeightStore({"c/kernel": store["c/kernel"]}), x)
 
 
-def test_execute_float32_overflow_names_affine_node(rng):
+def test_execute_float32_overflow_in_the_affine_names_the_conv_node(rng):
     # finite in float64, beyond float32 range once rounded
     g, store = conv_affine_graph(rng)
-    store["a/scale"] = np.full(4, 3e38, dtype=np.float32)
+    store["c/bn/scale"] = np.full(4, 3e38, dtype=np.float32)
     x = np.full((5, 5, 3), 10.0, dtype=np.float32)
-    with pytest.raises(NumericError, match=r"^node a \(Affine\): affine_channels produced non-finite"):
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): affine_channels produced non-finite"):
         execute(g, store, x)
 
 
-def test_execute_affine_overflow_that_relu_would_clamp_names_affine_node():
-    # a positive conv output times -3e38 is -inf in float32, which the fused
-    # ReLU would turn into 0: the affine's result is checked before the ReLU
-    g = Graph()
-    c = g.add_node(conv_spec("c", 3, 4), (g.source,))
-    a = g.add_node(NodeSpec("a", "Affine", {"channels": 4}), (c,))
-    r = g.add_node(NodeSpec("r", "Relu"), (a,))
-    g.outputs = [r]
-    assert _fused_chains(g, {r})[c] == (c, a, r)
-    store = WeightStore()
+def test_execute_affine_overflow_that_relu_would_clamp_names_the_conv_node():
+    # a positive conv output times -3e38 is -inf in float32, which the ReLU
+    # would turn into 0: the affine's result is checked before the ReLU
+    g, store = conv_affine_graph(np.random.default_rng(0), relu=True)
     store["c/kernel"] = np.ones((3, 3, 3, 4), dtype=np.float32)
-    store["a/scale"] = np.full(4, -3e38, dtype=np.float32)
-    store["a/bias"] = np.zeros(4, dtype=np.float32)
+    store["c/bn/scale"] = np.full(4, -3e38, dtype=np.float32)
     x = np.full((5, 5, 3), 10.0, dtype=np.float32)
-    with pytest.raises(NumericError, match=r"^node a \(Affine\): affine_channels produced non-finite values$"):
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): affine_channels produced non-finite values$"):
         execute(g, store, x)
 
 
 def test_execute_conv_overflow_in_a_later_band_outranks_an_earlier_affine_overflow():
-    # unfused, the conv's whole output is checked before the affine runs, so
-    # the conv is named although the affine overflows first, in band 0
+    # c streams into d, so d's first band, whose affine overflows, runs before
+    # c's last band, whose conv overflows; the group is rerun node by node,
+    # and c, the first node to make a non-finite value, is named
     g = Graph()
     c = g.add_node(conv_spec("c", 64, 64, k=1), (g.source,))
-    g.outputs = [g.add_node(NodeSpec("a", "Affine", {"channels": 64}), (c,))]
+    g.outputs = [g.add_node(conv_spec("d", 64, 64, k=1, affine=True), (c,))]
     store = WeightStore()
     store["c/kernel"] = (2 * np.eye(64, dtype=np.float32)).reshape(1, 1, 64, 64)
-    store["a/scale"] = np.full(64, 3e38, dtype=np.float32)
-    store["a/bias"] = np.zeros(64, dtype=np.float32)
+    store["d/kernel"] = np.eye(64, dtype=np.float32).reshape(1, 1, 64, 64)
+    store["d/bn/scale"] = np.full(64, 3e38, dtype=np.float32)
+    store["d/bn/bias"] = np.zeros(64, dtype=np.float32)
     x = np.ones((40, 128, 64), dtype=np.float32)
-    x[-1] = 3e38  # 6e38 after the conv
+    x[-1] = 3e38  # 6e38 after c
     assert 40 > 2 * kernels._band_rows(40, 128 * 64)
+    assert [step.nodes for step in plan(g, infer_shapes(g, TensorShape(40, 128, 64)), g.outputs)][-1] == (c, "d")
     with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
         execute(g, store, x)
-
-
-def test_execute_fetched_chain_member_runs_unfused_with_the_same_bits(rng):
-    g = Graph()
-    c = g.add_node(conv_spec("c", 8, 32), (g.source,))
-    a = g.add_node(NodeSpec("a", "Affine", {"channels": 32}), (c,))
-    r = g.add_node(NodeSpec("r", "Relu"), (a,))
-    store = WeightStore()
-    store["c/kernel"] = rng.standard_normal((3, 3, 8, 32)).astype(np.float32)
-    store["a/scale"] = rng.standard_normal(32).astype(np.float32)
-    store["a/bias"] = rng.standard_normal(32).astype(np.float32)
-    x = rng.standard_normal((80, 64, 8)).astype(np.float32)
-    assert 80 > 2 * kernels._band_rows(80, 64 * 3 * 3 * 8)
-    assert _fused_chains(g, {r})[c] == (c, a, r)
-    assert _fused_chains(g, {a, r})[c] == (c, a)
-    assert c not in _fused_chains(g, {c, r})
-    fused = execute(g, store, x, fetch=[r])[r]
-    for fetch in ([a, r], [c, r]):
-        got = execute(g, store, x, fetch=fetch)
-        assert np.array_equal(got[r].view(np.uint32), fused.view(np.uint32))
-    conv = kernels.conv2d(x, store["c/kernel"], None, g.nodes[c].params["conv"])
-    assert np.array_equal(got[c].view(np.uint32), conv.view(np.uint32))
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (1, 5, 5, 3)])
@@ -438,11 +436,10 @@ def test_execute_rejects_input_of_wrong_rank(rng, shape):
 
 def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     # the input once, then the output of each kernel that can create a
-    # non-finite value; no kernel re-scans its inputs. A fused
-    # Conv->Affine(->ReLU) chain holds one array, scanned once, by its affine.
-    # Kernels scan band by band, so the scanned elements are counted, not the
-    # calls.
-    checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "GlobalPool", "BilinearResize", "Add", "Affine")
+    # non-finite value; no kernel re-scans its inputs. A conv with an affine
+    # scans its one array once, after the affine. Kernels scan band by band,
+    # so the scanned elements are counted, not the calls.
+    checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "GlobalPool", "BilinearResize", "Add")
     model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
     store = init_weights(model, 1)
     x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
@@ -455,24 +452,21 @@ def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
     execute(model.graph, store, x, fetch=[model.logits])
     graph, shapes = model.graph, model.shapes
-    chains = _fused_chains(graph, {model.logits})
-    assert chains
     # a resize to the input's own size returns a copy and checks nothing
     producers = [
         n for n, spec in graph.nodes.items() if spec.kind in checked
         and not (spec.kind == "BilinearResize" and shapes[n] == shapes[graph.inputs[n][0]])
-        and not (n in chains and chains[n][0] == n)
     ]
     assert sum(int(np.prod(shape)) for shape in calls) == x.size + sum(shapes[n].count for n in producers)
 
 
 def test_describe_lines_cover_every_node():
     g = Graph()
-    c = g.add_node(conv_spec("c", 3, 4, bias=True), (g.source,))
+    c = g.add_node(conv_spec("c", 3, 4, bias=True, relu=True), (g.source,))
     g.add_node(NodeSpec("s", "Slice", {"start": 1, "stop": 3}), (c,))
     lines = describe_lines(g, infer_shapes(g, TensorShape(8, 8, 3)))
     assert len(lines) == len(g.order)
-    assert any("bias" in line for line in lines)
+    assert any("3->4 bias relu  <-" in line for line in lines)
     assert any("[1:3]" in line for line in lines)
 
 
@@ -484,18 +478,16 @@ def test_plan_live_peak_of_the_pinned_configs(config, peak):
     steps = plan(model.graph, model.shapes, [model.logits])
     top = max(steps, key=lambda step: step.live_bytes)
     assert (top.live_bytes, top.output) == (peak, "head/upsample")
-    streamed = [step.chains for step in steps if len(step.chains) > 1]
-    assert len(streamed) == 22
-    assert (("backbone/bneck03/expand", "backbone/bneck03/expand/bn", "backbone/bneck03/expand/relu"),
-            ("backbone/bneck03/dw", "backbone/bneck03/dw/bn", "backbone/bneck03/dw/relu"),
-            ("backbone/bneck03/project", "backbone/bneck03/project/bn")) in streamed
-    ran = [name for step in steps for chain in step.chains for name in chain]
+    streamed = [step.nodes for step in steps if len(step.nodes) > 1]
+    assert (len(steps), len(streamed)) == (58, 22)
+    assert ("backbone/bneck03/expand", "backbone/bneck03/dw", "backbone/bneck03/project") in streamed
+    ran = [name for step in steps for name in step.nodes]
     assert sorted(ran) == sorted(model.graph.order)
 
 
 def bneck_graph(rng, h=40, w=24, stride=2):
     """input -> conv "stem" (1x1, 3->8) -> bottleneck "b" (8 -> 48 -> 8),
-    with every Affine a near identity; returns (graph, store, input)."""
+    with every affine a near identity; returns (graph, store, input)."""
     g = Graph()
     stem = g.add_node(conv_spec("stem", 3, 8, k=1), (g.source,))
     g.outputs = [build_bneck(g, stem, "b", 8, 48, 8, 3, stride)]
@@ -503,47 +495,48 @@ def bneck_graph(rng, h=40, w=24, stride=2):
     for name in g.order:
         for role, shape in weight_shapes(g.nodes[name]).items():
             draw = rng.standard_normal(shape) / np.sqrt(np.prod(shape[:-1]))
-            store[f"{name}/{role}"] = (1.0 + 0.1 * draw if role == "scale" else draw).astype(np.float32)
+            store[f"{name}/{role}"] = (1.0 + 0.1 * draw if role == "bn/scale" else draw).astype(np.float32)
     return g, store, rng.uniform(-1.0, 1.0, size=(h, w, 3)).astype(np.float32)
 
 
-BNECK = ("b/expand", "b/expand/bn", "b/expand/relu"), ("b/dw", "b/dw/bn", "b/dw/relu"), ("b/project", "b/project/bn")
+BNECK = ("b/expand", "b/dw", "b/project")
 
 
 def test_plan_streams_a_bottleneck_and_a_kept_member_ends_its_group(rng):
+    # the stem streams into the bottleneck too; every fetched node is
+    # materialized, so fetching all of them runs each node on its own
     g, store, x = bneck_graph(rng)
     shapes = infer_shapes(g, TensorShape(40, 24, 3))
-    assert [step.chains for step in plan(g, shapes, ["b/project/bn"])][-1] == BNECK
-    want = execute(g, store, x, fetch=["b/project/bn"])["b/project/bn"]
-    unfused = execute(g, store, x, fetch=list(g.nodes))
-    assert np.array_equal(unfused["b/project/bn"].view(np.uint32), want.view(np.uint32))
-    g.add_tap("os_dw", "b/dw/relu")
-    for fetch in (["b/dw/relu", "b/project/bn"], None):
-        assert [step.chains for step in plan(g, shapes, fetch or ["b/dw/relu", "b/project/bn"])][-2:] == \
-            [BNECK[:2], BNECK[2:]]
+    assert [step.nodes for step in plan(g, shapes, ["b/project"])] == [("input",), ("stem",) + BNECK]
+    assert all(len(step.nodes) == 1 for step in plan(g, shapes, list(g.nodes)))
+    want = execute(g, store, x, fetch=["b/project"])["b/project"]
+    alone = execute(g, store, x, fetch=list(g.nodes))
+    assert np.array_equal(alone["b/project"].view(np.uint32), want.view(np.uint32))
+    g.add_tap("os_dw", "b/dw")
+    for fetch in (["b/dw", "b/project"], None):
+        assert [step.nodes for step in plan(g, shapes, fetch or ["b/dw", "b/project"])][-2:] == \
+            [("stem",) + BNECK[:2], BNECK[2:]]
         got = execute(g, store, x, fetch=fetch)
-        assert np.array_equal(got["b/project/bn"].view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(got["b/dw/relu"].view(np.uint32), unfused["b/dw/relu"].view(np.uint32))
+        assert np.array_equal(got["b/project"].view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(got["b/dw"].view(np.uint32), alone["b/dw"].view(np.uint32))
 
 
 @pytest.mark.parametrize("node,kind,fault", [
-    ("b/expand/bn", "Affine", "scale"),
+    ("b/expand", "Conv", "bn/scale"),
     ("b/dw", "DepthwiseConv", "kernel"),
-    ("b/project/bn", "Affine", "scale"),
+    ("b/project", "Conv", "bn/scale"),
 ])
 def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kind, fault):
     # the overflow is in the last rows only, so the group has streamed its
-    # first bands before it fails; the message is the unfused run's
+    # first bands before it fails; the message is that of a run in which each
+    # node is its own step
     g, store, x = bneck_graph(rng)
     x[-2:] = 1e4
-    if fault == "scale":
-        store[f"{node}/scale"] = np.full_like(store[f"{node}/scale"], 1e36)
-    else:
-        store[f"{node}/kernel"] = store[f"{node}/kernel"] * np.float32(1e36)
-    assert plan(g, infer_shapes(g, TensorShape(40, 24, 3)), g.outputs)[-1].chains == BNECK
-    with pytest.raises(NumericError) as unfused:
+    store[f"{node}/{fault}"] = store[f"{node}/{fault}"] * np.float32(1e36)
+    assert plan(g, infer_shapes(g, TensorShape(40, 24, 3)), g.outputs)[-1].nodes == ("stem",) + BNECK
+    with pytest.raises(NumericError) as alone:
         execute(g, store, x, fetch=list(g.nodes))
-    assert str(unfused.value).startswith(f"node {node} ({kind}): ")
+    assert str(alone.value).startswith(f"node {node} ({kind}): ")
     with pytest.raises(NumericError) as streamed:
         execute(g, store, x)
-    assert str(streamed.value) == str(unfused.value)
+    assert str(streamed.value) == str(alone.value)

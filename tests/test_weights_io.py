@@ -1,9 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from mosaicseg.arch import DecoderConfig, EncoderConfig, ModelConfig, build_model
+from mosaicseg.arch import DecoderConfig, EncoderConfig, ModelConfig, ade20k_config, build_model, cityscapes_config
 from mosaicseg.errors import ConfigError, FormatError, ShapeError
 from mosaicseg.graph import check_weights
 from mosaicseg.images import (
@@ -72,6 +73,18 @@ def test_init_affine_identity():
         assert np.array_equal(store[key], np.ones_like(store[key]))
         bias_key = key.replace("/scale", "/bias")
         assert np.array_equal(store[bias_key], np.zeros_like(store[bias_key]))
+
+
+@pytest.mark.parametrize("config,sha256", [
+    (cityscapes_config, "b649b8190b4c06475d5527f333f6ff7b1067d9b89a7dd2eee57f85067605edad"),
+    (ade20k_config, "dec2e7f2fbb7a013815651566d5329ca24a7d977574e55074a1bc1271fa267f3"),
+])
+def test_mosw_bytes_of_the_pinned_configs(tmp_path, config, sha256):
+    # entry names, store order, Philox draws and layout, recorded at commit
+    # c6758e5, whose graphs held each batch norm as a node of its own
+    path = tmp_path / "w.mosw"
+    save_weights(init_weights(build_model(config()), 1), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_save_load_round_trip(tmp_path):
