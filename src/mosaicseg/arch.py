@@ -180,10 +180,10 @@ def _conv_unit(graph, inp, name, conv: ConvParams, *, relu=True, affine=True, bi
     return graph.add_node(NodeSpec(name, "Conv", params), (inp,))
 
 
-def _depthwise_unit(graph, inp, name, channels, kernel, stride, dilation, *, relu=True):
-    """One DepthwiseConv node with its folded affine and optional ReLU."""
+def _depthwise_unit(graph, inp, name, channels, kernel, stride, dilation):
+    """One DepthwiseConv node with its folded affine and ReLU."""
     conv = ConvParams(kernel, kernel, stride, dilation, channels, channels, channels)
-    params = {"conv": conv, "affine": True, "relu": relu}
+    params = {"conv": conv, "affine": True, "relu": True}
     return graph.add_node(NodeSpec(name, "DepthwiseConv", params), (inp,))
 
 
@@ -274,12 +274,9 @@ def build_context_encoder(graph, os16, name, in_c, os16_hw, cfg: EncoderConfig, 
     levels = [os16]
     for g in cfg.pyramid_bins:
         level = f"{name}/level{g:02d}"
-        if g == 1:
-            ref = graph.add_node(NodeSpec(f"{level}/pool", "GlobalPool"), (os16,))
-        else:
-            ref = graph.add_node(
-                NodeSpec(f"{level}/pool", "AvgPoolGrid", {"grid_h": g, "grid_w": g}), (os16,)
-            )
+        ref = graph.add_node(
+            NodeSpec(f"{level}/pool", "AvgPoolGrid", {"grid_h": g, "grid_w": g}), (os16,)
+        )
         ref = build_multi_kernel_group_conv(graph, ref, level, in_c, cfg)
         ref = graph.add_node(
             NodeSpec(f"{level}/resize", "BilinearResize", {"out_h": h16, "out_w": w16}), (ref,)

@@ -70,7 +70,7 @@ def count_node(spec, in_shapes, out_shape: TensorShape, policy: CostPolicy = DEF
                 madds += out_shape.count
         return madds, params
     if policy.count_non_mac:
-        if kind in ("AvgPoolGrid", "GlobalPool"):
+        if kind == "AvgPoolGrid":
             return in_shapes[0].count, 0  # one accumulate per pooled element
         if kind == "BilinearResize":
             return 4 * out_shape.count, 0  # four-tap blend per output element

@@ -10,7 +10,7 @@ class MosaicError(Exception):
 
 
 class ShapeError(MosaicError):
-    """Tensor or graph shapes are inconsistent."""
+    """Tensor or graph shapes are inconsistent, or a weight store does not fit its graph."""
 
 
 class ConfigError(MosaicError):

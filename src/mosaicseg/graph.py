@@ -33,7 +33,6 @@ _ARITY = {
     "Conv": 1,
     "DepthwiseConv": 1,
     "AvgPoolGrid": 1,
-    "GlobalPool": 1,
     "BilinearResize": 1,
     "ConcatChannels": (1, None),
     "Add": 2,
@@ -76,8 +75,6 @@ def _validate_params(kind, params, name):
         oh, ow = params.get("out_h", 0), params.get("out_w", 0)
         if oh < 1 or ow < 1:
             raise ConfigError(f"node {name}: resize target must be positive, got {oh}x{ow}")
-        if params.get("mode", "corner") not in kernels.VALID_RESIZE_MODES:
-            raise ConfigError(f"node {name}: bad resize mode {params.get('mode')!r}")
     elif kind == "Slice":
         start, stop = params.get("start", -1), params.get("stop", -1)
         if start < 0 or stop <= start:
@@ -87,14 +84,15 @@ def _validate_params(kind, params, name):
 class Graph:
     """DAG of NodeSpecs. Created with a single Input source node."""
 
-    def __init__(self, source: str = "input"):
+    source = "input"
+
+    def __init__(self):
         self.nodes: dict[str, NodeSpec] = {}
         self.inputs: dict[str, tuple[str, ...]] = {}
         self.order: list[str] = []
-        self.source = source
         self.outputs: list[str] = []
         self.taps: dict[str, str] = {}
-        self._append(NodeSpec(source, "Input"), ())
+        self._append(NodeSpec(self.source, "Input"), ())
 
     def _append(self, spec: NodeSpec, input_names: tuple[str, ...]):
         self.nodes[spec.name] = spec
@@ -168,8 +166,6 @@ def _infer_node(spec: NodeSpec, in_shapes: list[TensorShape]) -> TensorShape:
                 f"node {spec.name}: pool grid {p['grid_h']}x{p['grid_w']} exceeds input {s.h}x{s.w}"
             )
         return TensorShape(p["grid_h"], p["grid_w"], s.c)
-    if kind == "GlobalPool":
-        return TensorShape(1, 1, in_shapes[0].c)
     if kind == "BilinearResize":
         return TensorShape(p["out_h"], p["out_w"], in_shapes[0].c)
     if kind == "ConcatChannels":
@@ -241,10 +237,8 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
         return kernels.depthwise_conv2d(ins[0], kern, conv, affine, relu)
     if kind == "AvgPoolGrid":
         return kernels.avg_pool_grid(ins[0], p["grid_h"], p["grid_w"])
-    if kind == "GlobalPool":
-        return kernels.global_avg_pool(ins[0])
     if kind == "BilinearResize":
-        return kernels.bilinear_resize(ins[0], p["out_h"], p["out_w"], p.get("mode", "corner"))
+        return kernels.bilinear_resize(ins[0], p["out_h"], p["out_w"])
     if kind == "ConcatChannels":
         return kernels.concat_channels(ins)
     if kind == "Add":
@@ -256,15 +250,16 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
 
 def check_weights(graph: Graph, weights) -> None:
     """Every parameterized node has exactly its role entries, correctly shaped,
-    and the store holds nothing else."""
+    and the store holds nothing else; a store that does not fit raises
+    ``ShapeError``."""
     wanted = {f"{name}/{role}": shape for name in graph.order
               for role, shape in weight_shapes(graph.nodes[name]).items()}
     missing = [k for k in wanted if k not in weights]
     if missing:
-        raise ConfigError(f"missing weight entries: {missing[:4]} (of {len(missing)})")
+        raise ShapeError(f"missing weight entries: {missing[:4]} (of {len(missing)})")
     orphans = [k for k in weights.keys() if k not in wanted]
     if orphans:
-        raise ConfigError(f"orphan weight entries not used by any node: {orphans[:4]}")
+        raise ShapeError(f"orphan weight entries not used by any node: {orphans[:4]}")
     for key, shape in wanted.items():
         got = tuple(np.asarray(weights[key]).shape)
         if got != shape:
@@ -397,7 +392,7 @@ def _param_summary(spec: NodeSpec) -> str:
     if spec.kind == "AvgPoolGrid":
         return f"grid={p['grid_h']}x{p['grid_w']}"
     if spec.kind == "BilinearResize":
-        return f"to={p['out_h']}x{p['out_w']} {p.get('mode', 'corner')}"
+        return f"to={p['out_h']}x{p['out_w']}"
     if spec.kind == "Slice":
         return f"[{p['start']}:{p['stop']}]"
     return "-"

@@ -36,12 +36,12 @@ and the cost model:
   into 0. So such a call reports any non-finite band as ``affine_channels``,
   whichever step made it; ``graph.execute`` names the conv node, after
   rerunning a failed streamed group one conv at a time.
-* Bilinear resize defaults to corner-aligned sampling
-  (src = dst * (in-1)/(out-1), a single output maps to coordinate 0);
-  ``mode="half"`` selects half-pixel centers. Columns are blended first, one
-  source row at a time into a ring of two rows, then rows.
+* Bilinear resize samples corner-aligned: src = dst * (in-1)/(out-1), and a
+  single output maps to coordinate 0. Columns are blended first, one source
+  row at a time into a ring of two rows, then rows.
 * Average-pool grids use floor-based bin edges floor(i*size/grid), which tile
-  the input exactly for any size/grid combination.
+  the input exactly for any size/grid combination; a global pool is the 1x1
+  grid.
 * argmax breaks ties toward the lowest channel index.
 * Kernels assume finite inputs. A kernel that can turn finite inputs into a
   non-finite value (conv, depthwise, pooling, resize, add, affine) checks its
@@ -55,8 +55,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import ConvParams, as_feature_map, require_finite
-
-VALID_RESIZE_MODES = ("corner", "half")
 
 # float64 bytes per band buffer: small enough to stay in cache
 _BAND_BYTES = 1 << 20
@@ -335,32 +333,25 @@ def avg_pool_grid(x, grid_h: int, grid_w: int) -> np.ndarray:
 
 
 def global_avg_pool(x) -> np.ndarray:
-    x = as_feature_map(x)
-    out = x.astype(np.float64).mean(axis=(0, 1), keepdims=True)
-    return require_finite(out.astype(np.float32), "global_avg_pool")
+    return avg_pool_grid(x, 1, 1)
 
 
-def _source_coords(n_out: int, n_in: int, mode: str) -> np.ndarray:
-    if mode == "corner":
-        if n_out == 1:
-            return np.zeros(1, dtype=np.float64)
-        return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
-    coords = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
-    return np.clip(coords, 0.0, n_in - 1)
+def _source_coords(n_out: int, n_in: int) -> np.ndarray:
+    if n_out == 1:
+        return np.zeros(1, dtype=np.float64)
+    return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
 
 
-def bilinear_resize(x, out_h: int, out_w: int, mode: str = "corner") -> np.ndarray:
+def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear interpolation of the four nearest source samples."""
     x = as_feature_map(x)
     h, w, c = x.shape
-    if mode not in VALID_RESIZE_MODES:
-        raise ConfigError(f"resize mode must be one of {VALID_RESIZE_MODES}, got {mode!r}")
     if out_h < 1 or out_w < 1:
         raise ConfigError(f"resize target must be positive, got {out_h}x{out_w}")
     if out_h == h and out_w == w:
         return x.copy()
-    src_r = _source_coords(out_h, h, mode)
-    src_c = _source_coords(out_w, w, mode)
+    src_r = _source_coords(out_h, h)
+    src_c = _source_coords(out_w, w)
     r0 = np.floor(src_r).astype(np.int64)
     c0 = np.floor(src_c).astype(np.int64)
     r1 = np.minimum(r0 + 1, h - 1)

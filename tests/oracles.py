@@ -76,7 +76,7 @@ def depthwise_whole(x, kern, bias, params: ConvParams):
     return out.astype(np.float32)
 
 
-def resize_whole(x, oh, ow, mode="corner"):
+def resize_whole(x, oh, ow):
     """Bilinear resize: gather the four corners of every output sample from a
     float64 copy of the map, blend columns then rows, round to float32."""
     h, w, _ = x.shape
@@ -84,12 +84,9 @@ def resize_whole(x, oh, ow, mode="corner"):
         return np.array(x, dtype=np.float32)
 
     def coords(n_out, n_in):
-        if mode == "corner":
-            if n_out == 1:
-                return np.zeros(1)
-            return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
-        c = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
-        return np.clip(c, 0.0, n_in - 1)
+        if n_out == 1:
+            return np.zeros(1)
+        return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
 
     src_r, src_c = coords(oh, h), coords(ow, w)
     r0 = np.floor(src_r).astype(np.int64)

@@ -240,6 +240,21 @@ def test_run_rejects_wrong_weight_shapes(capsys, tiny_conf, tmp_path):
     assert "shape" in err or "weight" in err
 
 
+def test_run_store_missing_entries_exit_1(capsys, tiny_conf, tmp_path):
+    # a store built without the decoder's skips lacks its merge convs
+    other = parse_config(TINY + "skips=\n")
+    weights_path = tmp_path / "w.mosw"
+    save_weights(init_weights(build_model(other), 3), weights_path)
+    out_path = tmp_path / "out.pgm"
+    code, _, err = run_cli(
+        capsys, "run", tiny_conf, "--weights", str(weights_path), "--output", str(out_path),
+    )
+    assert code == 1
+    assert "missing weight entries" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_run_non_utf8_weight_name_exit_1(capsys, tiny_conf, tmp_path):
     weights_path = tmp_path / "w.mosw"
     name = b"stem\xff"

@@ -26,6 +26,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # kernels of commit d19ce8d. Refactors of the executor or the kernels must keep
 # it; a different BLAS build may round its GEMMs differently.
 ADE20K_256_LOGITS_SHA256 = "01b17bfab2998e8db977e18e005b3694c3a4b4a9dd233ab213628802803548b0"
+# the same recipe with pyramid bins 1,4,8,16, which pins a 1x1 pooling level
+ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256 = "b28ec50f7b5732155bb8b446d9920ef4d0792b1648387f8067db2fb35a4bd702"
+
+
+def pool_spec(name):
+    """A 1x1 pooling grid: a weightless node that takes any input."""
+    return NodeSpec(name, "AvgPoolGrid", {"grid_h": 1, "grid_w": 1})
 
 
 def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, groups=1, bias=False, affine=False, relu=False):
@@ -41,7 +48,7 @@ def test_unknown_node_kind_rejected():
 
 
 def test_every_node_kind_has_a_builder():
-    # GlobalPool comes from the pyramid "1,4" variant, Slice from group convs
+    # Slice comes from group convs
     base = cityscapes_config()
     cfgs = [base, ade20k_config()]
     cfgs += [apply_variant(base, "pyramid", token) for token in reference.PYRAMID_VARIANTS_B]
@@ -61,7 +68,7 @@ def test_weight_shapes_in_store_order():
     ]
     dw = NodeSpec("d", "DepthwiseConv", {"conv": ConvParams(5, 5, 1, 1, 4, 4, 4), "affine": True})
     assert list(weight_shapes(dw).items()) == [("kernel", (5, 5, 1, 4)), ("bn/scale", (4,)), ("bn/bias", (4,))]
-    assert weight_shapes(NodeSpec("p", "GlobalPool")) == {}
+    assert weight_shapes(pool_spec("p")) == {}
 
 
 @pytest.mark.parametrize("flag", ["bias", "affine", "relu"])
@@ -89,20 +96,20 @@ def test_add_node_after_source():
 def test_self_reference_is_cycle_error():
     g = Graph()
     with pytest.raises(ConfigError, match="cycle"):
-        g.add_node(NodeSpec("loop", "GlobalPool"), ("loop",))
+        g.add_node(pool_spec("loop"), ("loop",))
 
 
 def test_duplicate_name_rejected():
     g = Graph()
-    g.add_node(NodeSpec("r", "GlobalPool"), (g.source,))
+    g.add_node(pool_spec("r"), (g.source,))
     with pytest.raises(ConfigError, match="duplicate"):
-        g.add_node(NodeSpec("r", "GlobalPool"), (g.source,))
+        g.add_node(pool_spec("r"), (g.source,))
 
 
 def test_dangling_reference_rejected():
     g = Graph()
     with pytest.raises(ConfigError, match="unknown input"):
-        g.add_node(NodeSpec("r", "GlobalPool"), ("ghost",))
+        g.add_node(pool_spec("r"), ("ghost",))
 
 
 def test_arity_checks():
@@ -117,14 +124,14 @@ def test_topo_linear_chain_is_insertion_order():
     g = Graph()
     prev = g.source
     for i in range(5):
-        prev = g.add_node(NodeSpec(f"r{i}", "GlobalPool"), (prev,))
+        prev = g.add_node(pool_spec(f"r{i}"), (prev,))
     assert topo_order(g) == g.order
 
 
 def test_topo_diamond():
     g = Graph()
-    a = g.add_node(NodeSpec("a", "GlobalPool"), (g.source,))
-    b = g.add_node(NodeSpec("b", "GlobalPool"), (g.source,))
+    a = g.add_node(pool_spec("a"), (g.source,))
+    b = g.add_node(pool_spec("b"), (g.source,))
     cat = g.add_node(NodeSpec("cat", "ConcatChannels"), (a, b))
     order = topo_order(g)
     assert order[0] == g.source
@@ -133,8 +140,8 @@ def test_topo_diamond():
 
 def test_topo_detects_cycle():
     g = Graph()
-    g.add_node(NodeSpec("a", "GlobalPool"), (g.source,))
-    g.add_node(NodeSpec("b", "GlobalPool"), ("a",))
+    g.add_node(pool_spec("a"), (g.source,))
+    g.add_node(pool_spec("b"), ("a",))
     g.inputs["a"] = ("b",)  # force a cycle behind the API
     with pytest.raises(ConfigError, match="cycle"):
         topo_order(g)
@@ -145,8 +152,8 @@ def test_topo_random_dags_respect_predecessors(rng):
         g = Graph()
         names = [g.source]
         for i in range(int(rng.integers(3, 12))):
-            kind = rng.choice(["GlobalPool", "Add", "ConcatChannels"])
-            if kind == "GlobalPool":
+            kind = rng.choice(["AvgPoolGrid", "Add", "ConcatChannels"])
+            if kind == "AvgPoolGrid":
                 inputs = (str(rng.choice(names)),)
             elif kind == "Add":
                 pick = str(rng.choice(names))
@@ -154,7 +161,8 @@ def test_topo_random_dags_respect_predecessors(rng):
             else:
                 k = int(rng.integers(1, min(3, len(names)) + 1))
                 inputs = tuple(str(rng.choice(names)) for _ in range(k))
-            names.append(g.add_node(NodeSpec(f"n{i}", kind), inputs))
+            spec = pool_spec(f"n{i}") if kind == "AvgPoolGrid" else NodeSpec(f"n{i}", kind)
+            names.append(g.add_node(spec, inputs))
         order = topo_order(g)
         seen = set()
         for name in order:
@@ -221,7 +229,7 @@ def test_execute_matches_hand_composition(rng):
 
 def test_execute_shape_agreement_random_graphs(rng):
     # executed shapes equal inferred shapes on randomized small graphs
-    kinds = ["GlobalPool", "Add", "ConcatChannels", "BilinearResize", "Slice"]
+    kinds = ["AvgPoolGrid", "Add", "ConcatChannels", "BilinearResize", "Slice"]
     for trial in range(50):
         g = Graph()
         refs = [g.source]
@@ -230,8 +238,8 @@ def test_execute_shape_agreement_random_graphs(rng):
             kind = str(rng.choice(kinds))
             src = str(rng.choice(refs))
             name = f"n{i}"
-            if kind == "GlobalPool":
-                ref = g.add_node(NodeSpec(name, kind), (src,))
+            if kind == "AvgPoolGrid":
+                ref = g.add_node(pool_spec(name), (src,))
                 channels[name] = channels[src]
             elif kind == "Add":
                 ref = g.add_node(NodeSpec(name, kind), (src, src))
@@ -263,7 +271,7 @@ def test_execute_missing_weight_names_node(rng):
     g = Graph()
     c = g.add_node(conv_spec("needs_weights", 3, 4), (g.source,))
     g.outputs = [c]
-    with pytest.raises(ConfigError, match="needs_weights"):
+    with pytest.raises(ShapeError, match="needs_weights"):
         execute(g, WeightStore(), rng.standard_normal((4, 4, 3)).astype(np.float32))
 
 
@@ -279,18 +287,18 @@ def test_execute_weight_shape_mismatch(rng):
 
 def test_execute_rejects_orphan_weights(rng):
     g = Graph()
-    r = g.add_node(NodeSpec("r", "GlobalPool"), (g.source,))
+    r = g.add_node(pool_spec("r"), (g.source,))
     g.outputs = [r]
     store = WeightStore()
     store["stray/kernel"] = np.zeros((1, 1, 1, 1), dtype=np.float32)
-    with pytest.raises(ConfigError, match="orphan"):
+    with pytest.raises(ShapeError, match="orphan"):
         execute(g, store, rng.standard_normal((2, 2, 1)).astype(np.float32))
 
 
 def test_execute_default_fetch_returns_outputs_and_taps(rng):
     g = Graph()
     a = g.add_node(NodeSpec("a", "Slice", {"start": 0, "stop": 1}), (g.source,))
-    b = g.add_node(NodeSpec("b", "GlobalPool"), (a,))
+    b = g.add_node(pool_spec("b"), (a,))
     g.outputs = [b]
     g.add_tap("mid", a)
     x = rng.standard_normal((4, 4, 2)).astype(np.float32)
@@ -301,14 +309,24 @@ def test_execute_default_fetch_returns_outputs_and_taps(rng):
         assert value.shape == (table[name].h, table[name].w, table[name].c)
 
 
-def test_ade20k_logits_golden_digest():
-    model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
+def ade20k_256_logits_sha256(cfg):
+    model = build_model(cfg)
     store = init_weights(model, 1)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
     x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
     logits = execute(model.graph, store, x, fetch=[model.logits])[model.logits]
     assert logits.shape == (256, 256, 32) and logits.dtype == np.float32
-    assert hashlib.sha256(logits.tobytes()).hexdigest() == ADE20K_256_LOGITS_SHA256
+    return hashlib.sha256(logits.tobytes()).hexdigest()
+
+
+def test_ade20k_logits_golden_digest():
+    cfg = replace(ade20k_config(), input_h=256, input_w=256)
+    assert ade20k_256_logits_sha256(cfg) == ADE20K_256_LOGITS_SHA256
+
+
+def test_ade20k_pyramid_1_4_8_16_logits_golden_digest():
+    cfg = apply_variant(replace(ade20k_config(), input_h=256, input_w=256), "pyramid", "1,4,8,16")
+    assert ade20k_256_logits_sha256(cfg) == ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256
 
 
 def benchmark_tracer():
@@ -439,7 +457,7 @@ def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     # non-finite value; no kernel re-scans its inputs. A conv with an affine
     # scans its one array once, after the affine. Kernels scan band by band,
     # so the scanned elements are counted, not the calls.
-    checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "GlobalPool", "BilinearResize", "Add")
+    checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "BilinearResize", "Add")
     model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
     store = init_weights(model, 1)
     x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)

@@ -289,15 +289,13 @@ def test_resize_reproduces_linear_ramp(rng):
     assert np.allclose(out, want, rtol=1e-5, atol=1e-5)
 
 
-def test_resize_matches_loops_both_modes(rng):
-    for mode in ("corner", "half"):
-        for _ in range(8):
-            h, w = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-            oh, ow = int(rng.integers(1, 15)), int(rng.integers(1, 15))
-            x = rand_map(rng, h, w, 2)
-            got = kernels.bilinear_resize(x, oh, ow, mode)
-            want = resize_loops(x, oh, ow, mode)
-            assert np.allclose(got, want, rtol=1e-5, atol=1e-6), (h, w, oh, ow, mode)
+def test_resize_matches_loops(rng):
+    for _ in range(16):
+        h, w = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        oh, ow = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+        x = rand_map(rng, h, w, 2)
+        got = kernels.bilinear_resize(x, oh, ow)
+        assert np.allclose(got, resize_loops(x, oh, ow), rtol=1e-5, atol=1e-6), (h, w, oh, ow)
 
 
 def test_resize_range_preserved(rng):
@@ -312,11 +310,6 @@ def test_resize_from_1x1_broadcasts(rng):
     x = rand_map(rng, 1, 1, 4)
     out = kernels.bilinear_resize(x, 6, 9)
     assert np.allclose(out, np.broadcast_to(x, (6, 9, 4)), rtol=0, atol=0)
-
-
-def test_resize_bad_mode():
-    with pytest.raises(ConfigError):
-        kernels.bilinear_resize(np.zeros((2, 2, 1), dtype=np.float32), 4, 4, mode="nearest")
 
 
 # --- concat / add / relu / affine / argmax --------------------------------------
@@ -484,6 +477,12 @@ def assert_spans_bands(n_rows, row_elems=None):
     assert n_rows > 2 * step and n_rows % step, (n_rows, step)
 
 
+def corner_cases(cases):
+    """(h, w, oh, ow) resize cases as params whose ids end in the sampling
+    rule they check, corner-aligned."""
+    return [pytest.param(*case, id="-".join(map(str, case)) + "-corner") for case in cases]
+
+
 def signed_zero_map(rng, h, w, c):
     x = rand_map(rng, h, w, c)
     pick = rng.random(x.shape)
@@ -567,15 +566,14 @@ def test_kxk_conv_bands_match_whole_array(rng, groups, stride, kernel, dilation,
     assert same_bits(x, before)
 
 
-@pytest.mark.parametrize("mode", ["corner", "half"])
-@pytest.mark.parametrize("h,w,oh,ow", [(61, 40, 150, 100), (250, 200, 101, 50)])
-def test_resize_bands_match_whole_array(rng, mode, h, w, oh, ow):
+@pytest.mark.parametrize("h,w,oh,ow", corner_cases([(61, 40, 150, 100), (250, 200, 101, 50)]))
+def test_resize_bands_match_whole_array(rng, h, w, oh, ow):
     x = signed_zero_map(rng, h, w, 64)
     assert_spans_bands(h, ow * 64)  # the column pass runs over source rows
     assert_spans_bands(oh, ow * 64)
     before = x.copy()
-    got = kernels.bilinear_resize(x, oh, ow, mode)
-    assert same_bits(got, oracles.resize_whole(x, oh, ow, mode))
+    got = kernels.bilinear_resize(x, oh, ow)
+    assert same_bits(got, oracles.resize_whole(x, oh, ow))
     assert same_bits(x, before)
 
 
@@ -716,19 +714,18 @@ def test_streamed_convs_check_rows_no_reader_reads(rng):
         kernels.streamed_convs(x, stages)
 
 
-@pytest.mark.parametrize("mode", ["corner", "half"])
-@pytest.mark.parametrize("h,w,oh,ow", [
+@pytest.mark.parametrize("h,w,oh,ow", corner_cases([
     (9, 7, 40, 23), (40, 23, 9, 7), (13, 5, 1, 9), (1, 6, 11, 4), (1, 5, 1, 9), (7, 1, 3, 1),
-])
-def test_resize_ring_matches_whole_array(rng, mode, h, w, oh, ow):
+]))
+def test_resize_ring_matches_whole_array(rng, h, w, oh, ow):
     x = signed_zero_map(rng, h, w, 19)
-    assert same_bits(kernels.bilinear_resize(x, oh, ow, mode), oracles.resize_whole(x, oh, ow, mode))
+    assert same_bits(kernels.bilinear_resize(x, oh, ow), oracles.resize_whole(x, oh, ow))
 
 
-@pytest.mark.parametrize("mode,oh", [("corner", 3), ("corner", 40), ("half", 6), ("half", 40)])
-def test_resize_inf_in_last_source_row_raises(rng, mode, oh):
+@pytest.mark.parametrize("oh", [3, 40], ids=["corner-3", "corner-40"])
+def test_resize_inf_in_last_source_row_raises(rng, oh):
     # every output row count here reads the last source row
     x = rand_map(rng, 12, 8, 5)
     x[-1, 4, 2] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="bilinear_resize produced non-finite values"):
-        kernels.bilinear_resize(x, oh, 10, mode)
+        kernels.bilinear_resize(x, oh, 10)

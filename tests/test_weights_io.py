@@ -176,11 +176,11 @@ def test_validate_flags_missing_and_orphans():
     store = init_weights(model, 1)
     key = next(iter(store.keys()))
     del store.entries[key]
-    with pytest.raises(ConfigError, match="missing"):
+    with pytest.raises(ShapeError, match="missing"):
         check_weights(model.graph, store)
     store = init_weights(model, 1)
     store["nobody/kernel"] = np.zeros((1, 1, 1, 1), np.float32)
-    with pytest.raises(ConfigError, match="orphan"):
+    with pytest.raises(ShapeError, match="orphan"):
         check_weights(model.graph, store)
 
 
