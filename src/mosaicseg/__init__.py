@@ -38,7 +38,7 @@ from .graph import Graph, NodeSpec, check_weights, execute, infer_shapes, topo_o
 from .images import read_image_ppm, read_labelmap_pgm, write_image_ppm, write_labelmap_pgm
 from .metrics import compute_miou
 from .tensor import ConvParams, TensorShape
-from .weights import WeightStore, init_weights, load_weights, save_weights
+from .weights import init_weights, load_weights, save_weights
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,6 @@ __all__ = [
     "Graph", "NodeSpec", "check_weights", "execute", "infer_shapes", "topo_order",
     "read_image_ppm", "read_labelmap_pgm", "write_image_ppm", "write_labelmap_pgm",
     "compute_miou", "ConvParams", "TensorShape",
-    "WeightStore", "init_weights", "load_weights", "save_weights",
+    "init_weights", "load_weights", "save_weights",
     "__version__",
 ]

@@ -169,7 +169,6 @@ class ModelConfig:
 class Model:
     cfg: ModelConfig
     graph: Graph
-    taps: dict[str, str]
     logits: str
     shapes: dict[str, TensorShape]
 
@@ -205,11 +204,13 @@ def build_bneck(graph, inp, name, in_c, exp_size, out_c, kernel, stride, dilatio
 
 
 def build_backbone(graph, m, dilation_rows=DEFAULT_DILATION_ROWS):
-    """Instantiate all backbone rows; registers os2/os4/os8/os16 taps."""
+    """Instantiate all backbone rows; registers os2/os4/os8/os16 taps and
+    returns their channel widths as {tap: width}."""
     if m <= 0:
         raise ConfigError(f"endpoint width m must be positive, got {m}")
     ref = graph.source
     in_c = 3
+    widths = {}
     for row_idx, row in enumerate(BACKBONE_ROWS, start=1):
         out_c = row.out_c if row.out_c is not None else m
         dilation = 2 if row_idx in dilation_rows else 1
@@ -224,8 +225,9 @@ def build_backbone(graph, m, dilation_rows=DEFAULT_DILATION_ROWS):
             )
         if row.tap:
             graph.add_tap(row.tap, ref)
+            widths[row.tap] = out_c
         in_c = out_c
-    return dict(graph.taps)
+    return widths
 
 
 def build_multi_kernel_group_conv(graph, inp, name, in_c, cfg: EncoderConfig):
@@ -310,8 +312,10 @@ def build_sum_merge(graph, semantic, skip, name, width, skip_c):
     return graph.add_node(NodeSpec(f"{name}/add", "Add"), (semantic, proj))
 
 
-def build_decoder(graph, encoded, taps, cfg: ModelConfig, tap_widths):
-    """Walk the skip list coarse-to-fine, then classify and upsample."""
+def build_decoder(graph, encoded, cfg: ModelConfig, tap_widths):
+    """Walk the skip list coarse-to-fine over the graph's taps, then classify
+    and upsample."""
+    taps = graph.taps
     dec = cfg.decoder
     width = cfg.aggregation_width
     ref = encoded
@@ -340,30 +344,19 @@ def build_decoder(graph, encoded, taps, cfg: ModelConfig, tap_widths):
     )
 
 
-def tap_widths_for(m: int) -> dict[str, int]:
-    widths = {}
-    c = 3
-    for row in BACKBONE_ROWS:
-        c = row.out_c if row.out_c is not None else m
-        if row.tap:
-            widths[row.tap] = c
-    return widths
-
-
 def build_model(cfg: ModelConfig) -> Model:
     """source -> backbone -> context encoder -> decoder -> logits,
     shape-checked at the configured resolution."""
     cfg.validate()
     graph = Graph()
-    taps = build_backbone(graph, cfg.m, cfg.dilation_rows)
+    tap_widths = build_backbone(graph, cfg.m, cfg.dilation_rows)
     os16_hw = (cfg.input_h // 16, cfg.input_w // 16)
     encoded = build_context_encoder(
-        graph, taps["os16"], "encoder", cfg.m, os16_hw, cfg.encoder, cfg.aggregation_width
+        graph, graph.taps["os16"], "encoder", cfg.m, os16_hw, cfg.encoder, cfg.aggregation_width
     )
-    logits = build_decoder(graph, encoded, taps, cfg, tap_widths_for(cfg.m))
-    graph.outputs = [logits]
+    logits = build_decoder(graph, encoded, cfg, tap_widths)
     shapes = infer_shapes(graph, TensorShape(cfg.input_h, cfg.input_w, 3))
-    return Model(cfg, graph, dict(taps), logits, shapes)
+    return Model(cfg, graph, logits, shapes)
 
 
 # --- flat key=value config files -------------------------------------------

@@ -33,7 +33,7 @@ def cmd_describe(args) -> int:
     for line in describe_lines(model.graph, model.shapes):
         print(line)
     print("--")
-    for tap, node in model.taps.items():
+    for tap, node in model.graph.taps.items():
         print(f"tap {tap}: {node} {model.shapes[node]}")
     report = count_model(model)
     for stage in STAGES:

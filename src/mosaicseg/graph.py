@@ -90,7 +90,6 @@ class Graph:
         self.nodes: dict[str, NodeSpec] = {}
         self.inputs: dict[str, tuple[str, ...]] = {}
         self.order: list[str] = []
-        self.outputs: list[str] = []
         self.taps: dict[str, str] = {}
         self._append(NodeSpec(self.source, "Input"), ())
 
@@ -334,8 +333,9 @@ def _run_step(graph: Graph, weights, nodes: tuple[str, ...], ins: list[np.ndarra
     return ins[0]
 
 
-def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.ndarray]:
-    """Run the graph; returns {name: value} for fetch (default: outputs + taps).
+def execute(graph: Graph, weights, x: np.ndarray, fetch) -> dict[str, np.ndarray]:
+    """Run the graph on the input ``x`` with the weight mapping ``weights``;
+    returns {name: value} for the node names in ``fetch``.
 
     Runs the steps of :func:`plan`: each streamed group or node is one kernel
     call, and its values are dropped after their last reader ran. A
@@ -345,8 +345,6 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch=None) -> dict[str, np.nd
     x = as_feature_map(x)
     shapes = infer_shapes(graph, shape_of(x))
     check_weights(graph, weights)
-    if fetch is None:
-        fetch = list(dict.fromkeys(list(graph.outputs) + list(graph.taps.values())))
     for name in fetch:
         if name not in graph.nodes:
             raise ConfigError(f"fetch references unknown node {name!r}")

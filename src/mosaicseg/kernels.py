@@ -28,14 +28,9 @@ and the cost model:
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32, widened again for the affine,
   rounded and checked, then clamped at zero. These are the steps of
-  ``relu(affine_channels(conv2d(...)))``, so the result has its bits. A call
-  with an affine checks its one value once, at the affine, and not the conv's
-  band as well: a non-finite conv value stays non-finite through
-  ``x * scale + bias`` (inf times a nonzero scale is inf, times 0 is NaN, and
-  NaN stays NaN), and the check runs before the ReLU, which would turn -inf
-  into 0. So such a call reports any non-finite band as ``affine_channels``,
-  whichever step made it; ``graph.execute`` names the conv node, after
-  rerunning a failed streamed group one conv at a time.
+  ``relu(affine_channels(conv2d(...)))``, so the result has its bits. A
+  non-finite conv value stays non-finite through the affine, so the one
+  check, before the ReLU, names the conv kernel whichever step made it.
 * Bilinear resize samples corner-aligned: src = dst * (in-1)/(out-1), and a
   single output maps to coordinate 0. Columns are blended first, one source
   row at a time into a ring of two rows, then rows.
@@ -45,8 +40,8 @@ and the cost model:
 * argmax breaks ties toward the lowest channel index.
 * Kernels assume finite inputs. A kernel that can turn finite inputs into a
   non-finite value (conv, depthwise, pooling, resize, add, affine) checks its
-  output once, conv and affine band by band, a conv with an affine epilogue at
-  its affine only; ReLU, concat and argmax check nothing.
+  output once, conv and affine band by band, a conv after its epilogue's
+  affine; ReLU, concat and argmax check nothing.
 
 All kernels are pure functions of their arguments and never mutate inputs.
 """
@@ -301,13 +296,12 @@ def _finish_band(acc, band, fn: str, affine, relu: bool):
     """Round the float64 accumulator ``acc`` into the float32 output ``band``,
     then apply the epilogue to the band in place, using ``acc`` as the affine's
     float64 scratch. Only the last value before the ReLU, which would turn
-    -inf into 0, is checked: ``fn``'s band, or the affine's result, which is
+    -inf into 0, is checked, under ``fn``'s name: the affine's result is
     non-finite wherever ``fn``'s is (inf times a scale is inf or NaN)."""
     band[...] = acc
-    if affine is None:
-        require_finite(band, fn)
-    else:
+    if affine is not None:
         _affine_band(band, band, *affine, acc)
+    require_finite(band, fn)
     if relu:
         np.maximum(band, np.float32(0.0), out=band)
 
@@ -437,13 +431,12 @@ def _affine_args(c: int, scale, bias):
 
 
 def _affine_band(src, dst, s64, b64, tmp):
-    """dst = float32(float64(src) * s64 + b64) through the float64 ``tmp``,
-    checked; ``dst`` may be ``src``."""
+    """dst = float32(float64(src) * s64 + b64) through the float64 ``tmp``;
+    ``dst`` may be ``src``."""
     tmp[...] = src  # widening first is exact, and faster than a mixed-dtype multiply
     tmp *= s64
     tmp += b64
     dst[...] = tmp
-    require_finite(dst, "affine_channels")
 
 
 def affine_channels(x, scale, bias) -> np.ndarray:
@@ -457,6 +450,7 @@ def affine_channels(x, scale, bias) -> np.ndarray:
     for r0 in range(0, h, step):
         tmp = tmp_buf[:min(step, h - r0)]
         _affine_band(x[r0:r0 + step], out[r0:r0 + step], s64, b64, tmp)
+        require_finite(out[r0:r0 + step], "affine_channels")
     return out
 
 

@@ -1,4 +1,8 @@
-"""Named parameter bundles: deterministic initialization and the MOSW file format.
+"""Weight stores: deterministic initialization and the MOSW file format.
+
+A store is a plain ``{"<node>/<role>": float32 array}`` dict, its roles those
+of :func:`mosaicseg.graph.weight_shapes`. ``init_weights`` and ``load_weights``
+fill it with C-contiguous arrays; ``save_weights`` writes any mapping.
 
 MOSW layout (all integers little-endian u32, payloads little-endian float32):
 
@@ -25,41 +29,6 @@ VERSION = 1
 MAX_RANK = 32  # numpy 1 arrays have at most 32 dimensions, numpy 2 arrays 64
 
 
-class WeightStore:
-    """Mapping from '<node>/<role>' to a float32 array."""
-
-    def __init__(self, entries=None):
-        self.entries: dict[str, np.ndarray] = {}
-        if entries:
-            for name, value in entries.items():
-                self[name] = value
-
-    def __setitem__(self, name: str, value):
-        self.entries[name] = np.ascontiguousarray(value, dtype=np.float32)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.entries[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def keys(self):
-        return self.entries.keys()
-
-    def items(self):
-        return self.entries.items()
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightStore):
-            return NotImplemented
-        if self.entries.keys() != other.entries.keys():
-            return False
-        return all(np.array_equal(v, other.entries[k]) for k, v in self.entries.items())
-
-
 def seeded_rng(seed: int) -> "np.random.Generator":  # numpy.random loads on first use
     """The Philox4x32-10 generator keyed by ``seed``, an integer in 0..2**64-1."""
     if not 0 <= seed < 2**64:
@@ -74,11 +43,11 @@ def require_drawable(n_values: int, what: str) -> None:
         raise ConfigError(f"{what} exceed the addressable bytes")
 
 
-def init_weights(model_or_graph, seed: int) -> WeightStore:
+def init_weights(model_or_graph, seed: int) -> dict[str, np.ndarray]:
     """Seeded Philox initialization for every parameterized node."""
     graph: Graph = getattr(model_or_graph, "graph", model_or_graph)
     rng = seeded_rng(seed)
-    store = WeightStore()
+    store = {}
     for name in graph.order:
         for role, shape in weight_shapes(graph.nodes[name]).items():
             require_drawable(math.prod(shape), f"the values of weight entry '{name}/{role}'")
@@ -92,17 +61,19 @@ def init_weights(model_or_graph, seed: int) -> WeightStore:
     return store
 
 
-def save_weights(store: WeightStore, path) -> None:
+def save_weights(store, path) -> None:
+    """Write the mapping ``store`` as a MOSW file, each value as float32."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(store)))
         for name, value in store.items():
+            value = np.asarray(value, dtype="<f4")
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<I", value.ndim))
             fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            fh.write(value.astype("<f4").tobytes())
+            fh.write(value.tobytes())
 
 
 class _Reader:
@@ -125,7 +96,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load_weights(path) -> WeightStore:
+def load_weights(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data)
@@ -135,7 +106,7 @@ def load_weights(path) -> WeightStore:
     if version != VERSION:
         raise FormatError(f"unsupported MOSW version {version} at byte 4")
     count = r.u32("entry count")
-    store = WeightStore()
+    store = {}
     for i in range(count):
         name_len = r.u32(f"entry {i} name length")
         raw = r.take(name_len, f"entry {i} name")
@@ -157,7 +128,7 @@ def load_weights(path) -> WeightStore:
                 raise FormatError(f"entry {name!r}: zero dimension at byte {r.pos}")
             n_values *= d
         payload = r.take(4 * n_values, f"entry {i} payload")
-        store.entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        store[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if r.pos != len(data):
         raise FormatError(f"trailing garbage at byte {r.pos}")
     return store

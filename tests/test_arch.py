@@ -13,7 +13,7 @@ from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError
 from mosaicseg.graph import Graph, execute, infer_shapes
 from mosaicseg.tensor import TensorShape
-from mosaicseg.weights import WeightStore, init_weights
+from mosaicseg.weights import init_weights
 
 # Backbone layer table used as an independent tally for parameter counts:
 # (kernel, expansion width or None, out channels or None for m, stride).
@@ -44,10 +44,12 @@ def test_backbone_tap_shapes_at_224():
 
 def test_backbone_tap_widths_for_any_m():
     for m in (448, 480, 512, 96):
-        g = backbone_graph(m=m)
+        g = Graph()
+        returned = build_backbone(g, m)
         shapes = infer_shapes(g, TensorShape(64, 64, 3))
-        widths = [shapes[g.taps[t]].c for t in ("os2", "os4", "os8", "os16")]
-        assert widths == [32, 32, 64, m]
+        widths = {t: shapes[g.taps[t]].c for t in ("os2", "os4", "os8", "os16")}
+        assert widths == {"os2": 32, "os4": 32, "os8": 64, "os16": m}
+        assert returned == widths
 
 
 def test_backbone_input_column_golden_at_224():
@@ -112,7 +114,7 @@ def test_bneck_zeroed_weights_is_identity(rng):
     g = Graph()
     out = build_bneck(g, g.source, "b", in_c=4, exp_size=8, out_c=4, kernel=3, stride=1)
     assert out == "b/add"
-    store = WeightStore()
+    store = {}
     for name in g.order:
         spec = g.nodes[name]
         if spec.kind in ("Conv", "DepthwiseConv"):
@@ -120,9 +122,8 @@ def test_bneck_zeroed_weights_is_identity(rng):
             store[f"{name}/kernel"] = np.zeros(conv.kernel_shape(), np.float32)
             store[f"{name}/bn/scale"] = np.ones(conv.out_c, np.float32)
             store[f"{name}/bn/bias"] = np.zeros(conv.out_c, np.float32)
-    g.outputs = [out]
     x = rng.standard_normal((6, 6, 4)).astype(np.float32)
-    assert np.array_equal(execute(g, store, x)[out], x)
+    assert np.array_equal(execute(g, store, x, fetch=[out])[out], x)
 
 
 def test_bneck_dilated_depthwise_params():
@@ -323,7 +324,8 @@ def test_sum_merge_scales_linearly_with_bias_free_branches(rng):
     # semantic tensors through the merge arithmetic directly
     from mosaicseg import kernels
     sem = execute(model.graph, store, x, fetch=["decoder/to_os4"])["decoder/to_os4"]
-    skip = execute(model.graph, store, x, fetch=[model.taps["os4"]])[model.taps["os4"]]
+    os4 = model.graph.taps["os4"]
+    skip = execute(model.graph, store, x, fetch=[os4])[os4]
     proj_kern = store["decoder/merge_os4/skip_proj/kernel"]
     proj_params = model.graph.nodes["decoder/merge_os4/skip_proj"].params["conv"]
     scale = store["decoder/merge_os4/skip_proj/bn/scale"]

@@ -14,7 +14,7 @@ from mosaicseg.errors import MosaicError
 from mosaicseg.images import (
     read_image_ppm, read_labelmap_pgm, write_image_ppm, write_labelmap_pgm,
 )
-from mosaicseg.weights import WeightStore, load_weights, save_weights
+from mosaicseg.weights import load_weights, save_weights
 
 TINY = "m=32\nnum_classes=5\ninput_h=64\ninput_w=64\nenc_filters=8\ndec_filters=8\npyramid_bins=2,4\n"
 
@@ -35,9 +35,9 @@ def mutate(data: bytes, rng) -> bytes:
 def mosw_file(path, rng):
     # many small entries before one large one, all of nonzero values, so a
     # shifted rank or dim field reads on through thousands of nonzero dims
-    entries = {f"n{i}/scale": rng.standard_normal(4) for i in range(16)}
-    entries["c/kernel"] = rng.standard_normal((3, 3, 8, 16))
-    save_weights(WeightStore(entries), path)
+    entries = {f"n{i}/scale": rng.standard_normal(4).astype(np.float32) for i in range(16)}
+    entries["c/kernel"] = rng.standard_normal((3, 3, 8, 16)).astype(np.float32)
+    save_weights(entries, path)
 
 
 def ppm_file(path, rng):

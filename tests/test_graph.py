@@ -17,7 +17,7 @@ from mosaicseg.graph import (
     weight_shapes,
 )
 from mosaicseg.tensor import ConvParams, TensorShape
-from mosaicseg.weights import WeightStore, init_weights
+from mosaicseg.weights import init_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -199,10 +199,9 @@ def test_execute_single_relu(rng):
     # a conv whose only epilogue is a ReLU, as no builder makes it
     g = Graph()
     r = g.add_node(conv_spec("r", 2, 3, relu=True), (g.source,))
-    g.outputs = [r]
-    store = WeightStore({"r/kernel": rng.standard_normal((3, 3, 2, 3)).astype(np.float32)})
+    store = {"r/kernel": rng.standard_normal((3, 3, 2, 3)).astype(np.float32)}
     x = rng.standard_normal((4, 4, 2)).astype(np.float32)
-    out = execute(g, store, x)
+    out = execute(g, store, x, fetch=[r])
     want = kernels.relu(kernels.conv2d(x, store["r/kernel"], None, g.nodes[r].params["conv"]))
     assert np.array_equal(out[r].view(np.uint32), want.view(np.uint32))
 
@@ -211,14 +210,14 @@ def test_execute_matches_hand_composition(rng):
     # a conv node with affine and ReLU vs composing kernels by hand
     g = Graph()
     c = g.add_node(conv_spec("c", 3, 5, stride=2, affine=True, relu=True), (g.source,))
-    g.outputs = [c]
     params = g.nodes[c].params["conv"]
-    store = WeightStore()
-    store["c/kernel"] = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    store["c/bn/scale"] = rng.standard_normal(5).astype(np.float32)
-    store["c/bn/bias"] = rng.standard_normal(5).astype(np.float32)
+    store = {
+        "c/kernel": rng.standard_normal(params.kernel_shape()).astype(np.float32),
+        "c/bn/scale": rng.standard_normal(5).astype(np.float32),
+        "c/bn/bias": rng.standard_normal(5).astype(np.float32),
+    }
     x = rng.standard_normal((9, 11, 3)).astype(np.float32)
-    got = execute(g, store, x)[c]
+    got = execute(g, store, x, fetch=[c])[c]
     want = kernels.relu(
         kernels.affine_channels(
             kernels.conv2d(x, store["c/kernel"], None, params), store["c/bn/scale"], store["c/bn/bias"]
@@ -258,11 +257,10 @@ def test_execute_shape_agreement_random_graphs(rng):
                 ref = g.add_node(NodeSpec(name, kind, {"start": 0, "stop": c // 2}), (src,))
                 channels[name] = c // 2
             refs.append(ref)
-        g.outputs = [refs[-1]]
         shape = TensorShape(int(rng.integers(2, 7)), int(rng.integers(2, 7)), 4)
         table = infer_shapes(g, shape)
         x = rng.standard_normal((shape.h, shape.w, shape.c)).astype(np.float32)
-        out = execute(g, WeightStore(), x, fetch=list(g.nodes))
+        out = execute(g, {}, x, fetch=list(g.nodes))
         for name, value in out.items():
             assert value.shape == (table[name].h, table[name].w, table[name].c), name
 
@@ -270,51 +268,35 @@ def test_execute_shape_agreement_random_graphs(rng):
 def test_execute_missing_weight_names_node(rng):
     g = Graph()
     c = g.add_node(conv_spec("needs_weights", 3, 4), (g.source,))
-    g.outputs = [c]
     with pytest.raises(ShapeError, match="needs_weights"):
-        execute(g, WeightStore(), rng.standard_normal((4, 4, 3)).astype(np.float32))
+        execute(g, {}, rng.standard_normal((4, 4, 3)).astype(np.float32), fetch=[c])
 
 
 def test_execute_weight_shape_mismatch(rng):
     g = Graph()
     c = g.add_node(conv_spec("c", 3, 4), (g.source,))
-    g.outputs = [c]
-    store = WeightStore()
-    store["c/kernel"] = np.zeros((3, 3, 3, 5), dtype=np.float32)  # out_c wrong
+    store = {"c/kernel": np.zeros((3, 3, 3, 5), dtype=np.float32)}  # out_c wrong
     with pytest.raises(ShapeError, match="c/kernel"):
-        execute(g, store, rng.standard_normal((4, 4, 3)).astype(np.float32))
+        execute(g, store, rng.standard_normal((4, 4, 3)).astype(np.float32), fetch=[c])
 
 
 def test_execute_rejects_orphan_weights(rng):
     g = Graph()
     r = g.add_node(pool_spec("r"), (g.source,))
-    g.outputs = [r]
-    store = WeightStore()
-    store["stray/kernel"] = np.zeros((1, 1, 1, 1), dtype=np.float32)
+    store = {"stray/kernel": np.zeros((1, 1, 1, 1), dtype=np.float32)}
     with pytest.raises(ShapeError, match="orphan"):
-        execute(g, store, rng.standard_normal((2, 2, 1)).astype(np.float32))
+        execute(g, store, rng.standard_normal((2, 2, 1)).astype(np.float32), fetch=[r])
 
 
-def test_execute_default_fetch_returns_outputs_and_taps(rng):
-    g = Graph()
-    a = g.add_node(NodeSpec("a", "Slice", {"start": 0, "stop": 1}), (g.source,))
-    b = g.add_node(pool_spec("b"), (a,))
-    g.outputs = [b]
-    g.add_tap("mid", a)
-    x = rng.standard_normal((4, 4, 2)).astype(np.float32)
-    out = execute(g, WeightStore(), x)
-    assert set(out) == {"a", "b"}
-    table = infer_shapes(g, TensorShape(4, 4, 2))
-    for name, value in out.items():
-        assert value.shape == (table[name].h, table[name].w, table[name].c)
+def philox1_input_256():
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
+    return rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
 
 
 def ade20k_256_logits_sha256(cfg):
     model = build_model(cfg)
     store = init_weights(model, 1)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
-    x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
-    logits = execute(model.graph, store, x, fetch=[model.logits])[model.logits]
+    logits = execute(model.graph, store, philox1_input_256(), fetch=[model.logits])[model.logits]
     assert logits.shape == (256, 256, 32) and logits.dtype == np.float32
     return hashlib.sha256(logits.tobytes()).hexdigest()
 
@@ -327,6 +309,22 @@ def test_ade20k_logits_golden_digest():
 def test_ade20k_pyramid_1_4_8_16_logits_golden_digest():
     cfg = apply_variant(replace(ade20k_config(), input_h=256, input_w=256), "pyramid", "1,4,8,16")
     assert ade20k_256_logits_sha256(cfg) == ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256
+
+
+@pytest.mark.parametrize("axis,token", [
+    ("pyramid", "1,4"), ("pyramid", "4,8,16:nogc"),
+    ("skips", "0"), ("skips", "8-C,4-C"), ("skips", "8-C,4-S,2-S"),
+])
+def test_streaming_leaves_the_logits_of_ablation_variants_alone(axis, token):
+    # fetching every node materializes each one, so no conv streams
+    model = build_model(apply_variant(replace(ade20k_config(), input_h=256, input_w=256), axis, token))
+    graph, every = model.graph, list(model.graph.nodes)
+    assert any(len(step.nodes) > 1 for step in plan(graph, model.shapes, [model.logits]))
+    assert all(len(step.nodes) == 1 for step in plan(graph, model.shapes, every))
+    store, x = init_weights(model, 1), philox1_input_256()
+    streamed = execute(graph, store, x, fetch=[model.logits])[model.logits]
+    alone = execute(graph, store, x, fetch=every)[model.logits]
+    assert np.array_equal(streamed.view(np.uint32), alone.view(np.uint32))
 
 
 def benchmark_tracer():
@@ -375,11 +373,12 @@ def test_benchmark_trace_accounts_for_every_execute_second():
 def conv_affine_graph(rng, relu=False):
     """input -> conv c (3x3, 3->4) with an affine, with finite weights."""
     g = Graph()
-    g.outputs = [g.add_node(conv_spec("c", 3, 4, affine=True, relu=relu), (g.source,))]
-    store = WeightStore()
-    store["c/kernel"] = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-    store["c/bn/scale"] = np.ones(4, dtype=np.float32)
-    store["c/bn/bias"] = np.zeros(4, dtype=np.float32)
+    g.add_node(conv_spec("c", 3, 4, affine=True, relu=relu), (g.source,))
+    store = {
+        "c/kernel": rng.standard_normal((3, 3, 3, 4)).astype(np.float32),
+        "c/bn/scale": np.ones(4, dtype=np.float32),
+        "c/bn/bias": np.zeros(4, dtype=np.float32),
+    }
     return g, store
 
 
@@ -388,21 +387,21 @@ def test_execute_nan_input_names_input_node(rng):
     x = rng.standard_normal((5, 5, 3)).astype(np.float32)
     x[2, 3, 1] = np.nan
     with pytest.raises(NumericError, match=r"^node input \(Input\): "):
-        execute(g, store, x)
+        execute(g, store, x, fetch=["c"])
 
 
 def test_execute_inf_weight_names_conv_node(rng):
-    # a conv with an affine checks its band once, after the affine, so the
-    # kernel reports the affine step whichever step made the value
+    # a conv checks its band once, after the affine, under its own kernel's
+    # name, with an affine or without
     g, store = conv_affine_graph(rng)
     store["c/kernel"][1, 1, 0, 2] = np.inf
     x = rng.standard_normal((5, 5, 3)).astype(np.float32)
-    with pytest.raises(NumericError, match=r"^node c \(Conv\): affine_channels produced non-finite"):
-        execute(g, store, x)
-    plain = Graph()
-    plain.outputs = [plain.add_node(conv_spec("c", 3, 4), (plain.source,))]
     with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
-        execute(plain, WeightStore({"c/kernel": store["c/kernel"]}), x)
+        execute(g, store, x, fetch=["c"])
+    plain = Graph()
+    plain.add_node(conv_spec("c", 3, 4), (plain.source,))
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
+        execute(plain, {"c/kernel": store["c/kernel"]}, x, fetch=["c"])
 
 
 def test_execute_float32_overflow_in_the_affine_names_the_conv_node(rng):
@@ -410,8 +409,8 @@ def test_execute_float32_overflow_in_the_affine_names_the_conv_node(rng):
     g, store = conv_affine_graph(rng)
     store["c/bn/scale"] = np.full(4, 3e38, dtype=np.float32)
     x = np.full((5, 5, 3), 10.0, dtype=np.float32)
-    with pytest.raises(NumericError, match=r"^node c \(Conv\): affine_channels produced non-finite"):
-        execute(g, store, x)
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
+        execute(g, store, x, fetch=["c"])
 
 
 def test_execute_affine_overflow_that_relu_would_clamp_names_the_conv_node():
@@ -421,8 +420,8 @@ def test_execute_affine_overflow_that_relu_would_clamp_names_the_conv_node():
     store["c/kernel"] = np.ones((3, 3, 3, 4), dtype=np.float32)
     store["c/bn/scale"] = np.full(4, -3e38, dtype=np.float32)
     x = np.full((5, 5, 3), 10.0, dtype=np.float32)
-    with pytest.raises(NumericError, match=r"^node c \(Conv\): affine_channels produced non-finite values$"):
-        execute(g, store, x)
+    with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite values$"):
+        execute(g, store, x, fetch=["c"])
 
 
 def test_execute_conv_overflow_in_a_later_band_outranks_an_earlier_affine_overflow():
@@ -431,25 +430,26 @@ def test_execute_conv_overflow_in_a_later_band_outranks_an_earlier_affine_overfl
     # and c, the first node to make a non-finite value, is named
     g = Graph()
     c = g.add_node(conv_spec("c", 64, 64, k=1), (g.source,))
-    g.outputs = [g.add_node(conv_spec("d", 64, 64, k=1, affine=True), (c,))]
-    store = WeightStore()
-    store["c/kernel"] = (2 * np.eye(64, dtype=np.float32)).reshape(1, 1, 64, 64)
-    store["d/kernel"] = np.eye(64, dtype=np.float32).reshape(1, 1, 64, 64)
-    store["d/bn/scale"] = np.full(64, 3e38, dtype=np.float32)
-    store["d/bn/bias"] = np.zeros(64, dtype=np.float32)
+    d = g.add_node(conv_spec("d", 64, 64, k=1, affine=True), (c,))
+    store = {
+        "c/kernel": (2 * np.eye(64, dtype=np.float32)).reshape(1, 1, 64, 64),
+        "d/kernel": np.eye(64, dtype=np.float32).reshape(1, 1, 64, 64),
+        "d/bn/scale": np.full(64, 3e38, dtype=np.float32),
+        "d/bn/bias": np.zeros(64, dtype=np.float32),
+    }
     x = np.ones((40, 128, 64), dtype=np.float32)
     x[-1] = 3e38  # 6e38 after c
     assert 40 > 2 * kernels._band_rows(40, 128 * 64)
-    assert [step.nodes for step in plan(g, infer_shapes(g, TensorShape(40, 128, 64)), g.outputs)][-1] == (c, "d")
+    assert [step.nodes for step in plan(g, infer_shapes(g, TensorShape(40, 128, 64)), [d])][-1] == (c, d)
     with pytest.raises(NumericError, match=r"^node c \(Conv\): conv2d produced non-finite"):
-        execute(g, store, x)
+        execute(g, store, x, fetch=[d])
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (1, 5, 5, 3)])
 def test_execute_rejects_input_of_wrong_rank(rng, shape):
     g, store = conv_affine_graph(rng)
     with pytest.raises(ShapeError, match=f"got rank {len(shape)}"):
-        execute(g, store, np.zeros(shape, dtype=np.float32))
+        execute(g, store, np.zeros(shape, dtype=np.float32), fetch=["c"])
 
 
 def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
@@ -508,8 +508,8 @@ def bneck_graph(rng, h=40, w=24, stride=2):
     with every affine a near identity; returns (graph, store, input)."""
     g = Graph()
     stem = g.add_node(conv_spec("stem", 3, 8, k=1), (g.source,))
-    g.outputs = [build_bneck(g, stem, "b", 8, 48, 8, 3, stride)]
-    store = WeightStore()
+    build_bneck(g, stem, "b", 8, 48, 8, 3, stride)
+    store = {}
     for name in g.order:
         for role, shape in weight_shapes(g.nodes[name]).items():
             draw = rng.standard_normal(shape) / np.sqrt(np.prod(shape[:-1]))
@@ -530,13 +530,11 @@ def test_plan_streams_a_bottleneck_and_a_kept_member_ends_its_group(rng):
     want = execute(g, store, x, fetch=["b/project"])["b/project"]
     alone = execute(g, store, x, fetch=list(g.nodes))
     assert np.array_equal(alone["b/project"].view(np.uint32), want.view(np.uint32))
-    g.add_tap("os_dw", "b/dw")
-    for fetch in (["b/dw", "b/project"], None):
-        assert [step.nodes for step in plan(g, shapes, fetch or ["b/dw", "b/project"])][-2:] == \
-            [("stem",) + BNECK[:2], BNECK[2:]]
-        got = execute(g, store, x, fetch=fetch)
-        assert np.array_equal(got["b/project"].view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(got["b/dw"].view(np.uint32), alone["b/dw"].view(np.uint32))
+    fetch = ["b/dw", "b/project"]
+    assert [step.nodes for step in plan(g, shapes, fetch)][-2:] == [("stem",) + BNECK[:2], BNECK[2:]]
+    got = execute(g, store, x, fetch=fetch)
+    assert np.array_equal(got["b/project"].view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(got["b/dw"].view(np.uint32), alone["b/dw"].view(np.uint32))
 
 
 @pytest.mark.parametrize("node,kind,fault", [
@@ -551,10 +549,10 @@ def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kin
     g, store, x = bneck_graph(rng)
     x[-2:] = 1e4
     store[f"{node}/{fault}"] = store[f"{node}/{fault}"] * np.float32(1e36)
-    assert plan(g, infer_shapes(g, TensorShape(40, 24, 3)), g.outputs)[-1].nodes == ("stem",) + BNECK
+    assert plan(g, infer_shapes(g, TensorShape(40, 24, 3)), ["b/project"])[-1].nodes == ("stem",) + BNECK
     with pytest.raises(NumericError) as alone:
         execute(g, store, x, fetch=list(g.nodes))
     assert str(alone.value).startswith(f"node {node} ({kind}): ")
     with pytest.raises(NumericError) as streamed:
-        execute(g, store, x)
+        execute(g, store, x, fetch=["b/project"])
     assert str(streamed.value) == str(alone.value)

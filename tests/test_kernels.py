@@ -100,7 +100,8 @@ def test_conv_affine_overflow_raises_before_relu(params):
     x = np.full((6, 6, 4), 10.0, dtype=np.float32)
     kern = np.ones(params.kernel_shape(), dtype=np.float32)
     affine = (np.full(4, -3e38, dtype=np.float32), np.zeros(4, dtype=np.float32))
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^affine_channels produced non-finite values$"):
+    fn = "depthwise_conv2d" if params.is_depthwise else "conv2d"
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"^{fn} produced non-finite values$"):
         if params.is_depthwise:
             kernels.depthwise_conv2d(x, kern, params, affine=affine, relu=True)
         else:
@@ -111,14 +112,15 @@ def test_conv_affine_overflow_raises_before_relu(params):
     ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 2, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
 ], ids=["pointwise", "kxk", "depthwise"])
 @pytest.mark.parametrize("scale", [1.0, 0.0])
-def test_conv_overflow_with_affine_is_reported_by_the_affine(params, scale):
-    # a fused chain checks only its last value before the ReLU: the conv's inf
-    # stays inf, or becomes NaN at a zero scale, through the affine
+def test_conv_overflow_with_affine_is_reported_by_the_conv(params, scale):
+    # a conv checks only its last value before the ReLU: its inf stays inf,
+    # or becomes NaN at a zero scale, through the affine
     x = np.ones((6, 6, 4), dtype=np.float32)
     kern = np.ones(params.kernel_shape(), dtype=np.float32)
     kern[0, 0, 0, 1] = np.inf
     affine = (np.full(4, scale, dtype=np.float32), np.zeros(4, dtype=np.float32))
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^affine_channels produced non-finite values$"):
+    fn = "depthwise_conv2d" if params.is_depthwise else "conv2d"
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=f"^{fn} produced non-finite values$"):
         if params.is_depthwise:
             kernels.depthwise_conv2d(x, kern, params, affine=affine, relu=True)
         else:
@@ -386,6 +388,13 @@ def test_affine_matches_loop(rng):
             for c in range(2):
                 want = np.float32(np.float64(scale[c]) * np.float64(x[r, q, c]) + np.float64(bias[c]))
                 assert got[r, q, c] == pytest.approx(want, rel=1e-6)
+
+
+def test_affine_overflow_raises(rng):
+    x = np.full((3, 4, 2), 10.0, dtype=np.float32)
+    scale = np.full(2, 3e38, dtype=np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^affine_channels produced non-finite values$"):
+        kernels.affine_channels(x, scale, np.zeros(2, np.float32))
 
 
 def test_affine_length_mismatch(rng):
@@ -710,7 +719,7 @@ def test_streamed_convs_check_rows_no_reader_reads(rng):
     scale = np.full(512, 1e10, dtype=np.float32)
     stages = [("conv2d", np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
               stage(rng, pw(512, 4, stride=2), relu=False)]
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="affine_channels produced non-finite"):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^conv2d produced non-finite"):
         kernels.streamed_convs(x, stages)
 
 

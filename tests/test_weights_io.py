@@ -10,7 +10,15 @@ from mosaicseg.graph import check_weights
 from mosaicseg.images import (
     read_image_ppm, read_labelmap_pgm, write_image_ppm, write_labelmap_pgm,
 )
-from mosaicseg.weights import WeightStore, init_weights, load_weights, save_weights
+from mosaicseg.weights import init_weights, load_weights, save_weights
+
+
+def same_store(a, b) -> bool:
+    """Whether two stores hold the same keys, in the same order, and the same
+    float32 bits under each; every value must be a C-contiguous float32 array."""
+    for value in (*a.values(), *b.values()):
+        assert value.dtype == np.float32 and value.flags.c_contiguous
+    return list(a) == list(b) and all(np.array_equal(a[k].view(np.uint32), b[k].view(np.uint32)) for k in a)
 
 
 def small_model():
@@ -23,13 +31,13 @@ def small_model():
 
 def test_init_same_seed_identical():
     model = small_model()
-    assert init_weights(model, 42) == init_weights(model, 42)
+    assert same_store(init_weights(model, 42), init_weights(model, 42))
 
 
 def test_init_different_seeds_differ():
     model = small_model()
     a, b = init_weights(model, 1), init_weights(model, 2)
-    assert a != b
+    assert not same_store(a, b)
     assert any(not np.array_equal(a[k], b[k]) for k in a.keys())
 
 
@@ -92,20 +100,26 @@ def test_save_load_round_trip(tmp_path):
     store = init_weights(model, 77)
     path = tmp_path / "model.mosw"
     save_weights(store, path)
-    loaded = load_weights(path)
-    assert loaded == store
+    assert same_store(load_weights(path), store)
+
+
+def test_save_writes_float64_values_as_float32(tmp_path, rng):
+    value = rng.standard_normal((3, 2))
+    save_weights({"a/kernel": value}, tmp_path / "f64.mosw")
+    save_weights({"a/kernel": value.astype(np.float32)}, tmp_path / "f32.mosw")
+    assert (tmp_path / "f64.mosw").read_bytes() == (tmp_path / "f32.mosw").read_bytes()
 
 
 def test_round_trip_random_stores(tmp_path, rng):
     for trial in range(100):
-        store = WeightStore()
+        store = {}
         for i in range(int(rng.integers(1, 6))):
             rank = int(rng.integers(1, 5))
             dims = tuple(int(rng.integers(1, 5)) for _ in range(rank))
             store[f"entry{trial}/{i}"] = rng.standard_normal(dims).astype(np.float32)
         path = tmp_path / f"s{trial}.mosw"
         save_weights(store, path)
-        assert load_weights(path) == store
+        assert same_store(load_weights(path), store)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -175,7 +189,7 @@ def test_validate_flags_missing_and_orphans():
     model = small_model()
     store = init_weights(model, 1)
     key = next(iter(store.keys()))
-    del store.entries[key]
+    del store[key]
     with pytest.raises(ShapeError, match="missing"):
         check_weights(model.graph, store)
     store = init_weights(model, 1)
