@@ -10,8 +10,6 @@ the mean-IoU metric.
 from .arch import (
     BACKBONE_ROWS,
     BackboneRow,
-    DecoderConfig,
-    EncoderConfig,
     Model,
     ModelConfig,
     SkipSpec,
@@ -43,9 +41,8 @@ from .weights import init_weights, load_weights, save_weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKBONE_ROWS", "BackboneRow", "DecoderConfig", "EncoderConfig", "Model",
-    "ModelConfig", "SkipSpec", "ade20k_config", "build_model", "cityscapes_config",
-    "dump_config", "load_config", "parse_config", "parse_skip",
+    "BACKBONE_ROWS", "BackboneRow", "Model", "ModelConfig", "SkipSpec", "ade20k_config",
+    "build_model", "cityscapes_config", "dump_config", "load_config", "parse_config", "parse_skip",
     "DEFAULT_POLICY", "INCLUSIVE_POLICY", "CostPolicy", "CostReport",
     "ablation_report", "count_config", "count_model", "count_node",
     "ConfigError", "FormatError", "MosaicError", "NumericError", "ShapeError",

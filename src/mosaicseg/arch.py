@@ -1,5 +1,8 @@
 """Builders translating a ModelConfig into a computation graph.
 
+A ModelConfig is flat: one field per key of the ``key=value`` config file, in
+dump order, so a variant is one ``dataclasses.replace``.
+
 The network has four stages, reflected in node-name prefixes used by the cost
 report: ``backbone/`` (tailored MobileNet-Multi-Hardware trunk, output stride
 16), ``encoder/`` (spatial-pyramid context encoder with multi-kernel group
@@ -12,7 +15,7 @@ sum-merge skip projections carry the affine only, the classifier a bias only.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .graph import Graph, NodeSpec, infer_shapes
@@ -59,31 +62,6 @@ DEFAULT_DILATION_ROWS = (15, 16, 17)
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    pyramid_bins: tuple[int, ...] = (4, 8, 16)
-    use_group_conv: bool = True
-    group_kernels: tuple[int, ...] = (3, 5)
-    enc_filters: int = 32
-
-    def validate(self):
-        if not self.pyramid_bins:
-            raise ConfigError("pyramid_bins must be nonempty")
-        if any(g < 1 for g in self.pyramid_bins):
-            raise ConfigError(f"pyramid_bins entries must be >= 1, got {self.pyramid_bins}")
-        if list(self.pyramid_bins) != sorted(set(self.pyramid_bins)):
-            raise ConfigError(f"pyramid_bins must be strictly increasing, got {self.pyramid_bins}")
-        if not self.group_kernels:
-            raise ConfigError("group_kernels must be nonempty")
-        if self.enc_filters < 1:
-            raise ConfigError("enc_filters must be positive")
-        if self.enc_filters % len(self.group_kernels) != 0:
-            raise ConfigError(
-                f"enc_filters={self.enc_filters} must be divisible by the "
-                f"{len(self.group_kernels)} kernel branches"
-            )
-
-
-@dataclass(frozen=True)
 class SkipSpec:
     output_stride: int
     merge: str  # "concat" | "sum"
@@ -108,28 +86,17 @@ def parse_skip(token: str) -> SkipSpec:
 
 
 @dataclass(frozen=True)
-class DecoderConfig:
-    skips: tuple[SkipSpec, ...] = (SkipSpec(8, "concat"), SkipSpec(4, "sum"))
-    dec_filters: int = 64
-
-    def validate(self):
-        for s in self.skips:
-            s.validate()
-        strides = [s.output_stride for s in self.skips]
-        if any(a <= b for a, b in zip(strides, strides[1:])):
-            raise ConfigError(f"skip output strides must be strictly decreasing, got {strides}")
-        if self.dec_filters < 1:
-            raise ConfigError("dec_filters must be positive")
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     m: int = 480
     num_classes: int = 19
     input_h: int = 1024
     input_w: int = 2048
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    decoder: DecoderConfig = field(default_factory=DecoderConfig)
+    enc_filters: int = 32
+    dec_filters: int = 64
+    pyramid_bins: tuple[int, ...] = (4, 8, 16)
+    use_group_conv: bool = True
+    group_kernels: tuple[int, ...] = (3, 5)
+    skips: tuple[SkipSpec, ...] = (SkipSpec(8, "concat"), SkipSpec(4, "sum"))
     aggregation_width_mode: str = "EncoderWidth"
     dilation_rows: tuple[int, ...] = DEFAULT_DILATION_ROWS
 
@@ -155,14 +122,34 @@ class ModelConfig:
                 raise ConfigError(f"dilation_rows entry {row} outside 1..{len(BACKBONE_ROWS)}")
             if BACKBONE_ROWS[row - 1].operator != "bneck":
                 raise ConfigError(f"dilation_rows entry {row} is not a bottleneck row")
-        self.encoder.validate()
-        self.decoder.validate()
+        if not self.pyramid_bins:
+            raise ConfigError("pyramid_bins must be nonempty")
+        if any(g < 1 for g in self.pyramid_bins):
+            raise ConfigError(f"pyramid_bins entries must be >= 1, got {self.pyramid_bins}")
+        if list(self.pyramid_bins) != sorted(set(self.pyramid_bins)):
+            raise ConfigError(f"pyramid_bins must be strictly increasing, got {self.pyramid_bins}")
+        if not self.group_kernels:
+            raise ConfigError("group_kernels must be nonempty")
+        if self.enc_filters < 1:
+            raise ConfigError("enc_filters must be positive")
+        if self.enc_filters % len(self.group_kernels) != 0:
+            raise ConfigError(
+                f"enc_filters={self.enc_filters} must be divisible by the "
+                f"{len(self.group_kernels)} kernel branches"
+            )
+        for s in self.skips:
+            s.validate()
+        strides = [s.output_stride for s in self.skips]
+        if any(a <= b for a, b in zip(strides, strides[1:])):
+            raise ConfigError(f"skip output strides must be strictly decreasing, got {strides}")
+        if self.dec_filters < 1:
+            raise ConfigError("dec_filters must be positive")
 
     @property
     def aggregation_width(self) -> int:
         if self.aggregation_width_mode == "EncoderWidth":
-            return self.encoder.enc_filters
-        return self.decoder.dec_filters
+            return self.enc_filters
+        return self.dec_filters
 
 
 @dataclass
@@ -230,7 +217,7 @@ def build_backbone(graph, m, dilation_rows=DEFAULT_DILATION_ROWS):
     return widths
 
 
-def build_multi_kernel_group_conv(graph, inp, name, in_c, cfg: EncoderConfig):
+def build_multi_kernel_group_conv(graph, inp, name, in_c, cfg: ModelConfig):
     """Parallel separable-conv branches with per-branch kernel sizes.
 
     Grouped: channels split equally, one group per kernel size. Ungrouped:
@@ -264,30 +251,27 @@ def build_multi_kernel_group_conv(graph, inp, name, in_c, cfg: EncoderConfig):
     return graph.add_node(NodeSpec(f"{name}/concat", "ConcatChannels"), tuple(outs))
 
 
-def build_context_encoder(graph, os16, name, in_c, os16_hw, cfg: EncoderConfig, out_width):
-    """Pyramid levels (pool -> multi-kernel conv -> resize back) concatenated
-    with the raw feature, then a 1x1 aggregation conv to out_width."""
-    h16, w16 = os16_hw
-    for g in cfg.pyramid_bins:
-        if g > min(h16, w16):
-            raise ConfigError(
-                f"pyramid grid {g}x{g} exceeds the {h16}x{w16} encoder input"
-            )
+def build_context_encoder(graph, os16, cfg: ModelConfig):
+    """Pyramid levels (pool -> multi-kernel conv -> resize back) over the
+    m-wide os16 feature, concatenated with it, then a 1x1 aggregation conv to
+    the aggregation width. A grid larger than the feature fails in
+    ``infer_shapes``, which names its pool node."""
+    h16, w16 = cfg.input_h // 16, cfg.input_w // 16
     levels = [os16]
     for g in cfg.pyramid_bins:
-        level = f"{name}/level{g:02d}"
+        level = f"encoder/level{g:02d}"
         ref = graph.add_node(
             NodeSpec(f"{level}/pool", "AvgPoolGrid", {"grid_h": g, "grid_w": g}), (os16,)
         )
-        ref = build_multi_kernel_group_conv(graph, ref, level, in_c, cfg)
+        ref = build_multi_kernel_group_conv(graph, ref, level, cfg.m, cfg)
         ref = graph.add_node(
             NodeSpec(f"{level}/resize", "BilinearResize", {"out_h": h16, "out_w": w16}), (ref,)
         )
         levels.append(ref)
-    cat = graph.add_node(NodeSpec(f"{name}/concat", "ConcatChannels"), tuple(levels))
-    cat_width = in_c + len(cfg.pyramid_bins) * cfg.enc_filters
+    cat = graph.add_node(NodeSpec("encoder/concat", "ConcatChannels"), tuple(levels))
+    cat_width = cfg.m + len(cfg.pyramid_bins) * cfg.enc_filters
     return _conv_unit(
-        graph, cat, f"{name}/aggregate", ConvParams(1, 1, 1, 1, 1, cat_width, out_width)
+        graph, cat, "encoder/aggregate", ConvParams(1, 1, 1, 1, 1, cat_width, cfg.aggregation_width)
     )
 
 
@@ -316,10 +300,9 @@ def build_decoder(graph, encoded, cfg: ModelConfig, tap_widths):
     """Walk the skip list coarse-to-fine over the graph's taps, then classify
     and upsample."""
     taps = graph.taps
-    dec = cfg.decoder
     width = cfg.aggregation_width
     ref = encoded
-    for skip in dec.skips:
+    for skip in cfg.skips:
         tap = f"os{skip.output_stride}"
         if tap not in taps:
             raise ConfigError(f"decoder requests missing backbone tap {tap!r}")
@@ -331,9 +314,9 @@ def build_decoder(graph, encoded, cfg: ModelConfig, tap_widths):
         merge = f"decoder/merge_{tap}"
         if skip.merge == "concat":
             ref = build_concat_merge(
-                graph, ref, taps[tap], merge, width, tap_widths[tap], dec.dec_filters
+                graph, ref, taps[tap], merge, width, tap_widths[tap], cfg.dec_filters
             )
-            width = dec.dec_filters
+            width = cfg.dec_filters
         else:
             ref = build_sum_merge(graph, ref, taps[tap], merge, width, tap_widths[tap])
     ref = _conv_unit(graph, ref, "head/classifier", ConvParams(1, 1, 1, 1, 1, width, cfg.num_classes),
@@ -350,10 +333,7 @@ def build_model(cfg: ModelConfig) -> Model:
     cfg.validate()
     graph = Graph()
     tap_widths = build_backbone(graph, cfg.m, cfg.dilation_rows)
-    os16_hw = (cfg.input_h // 16, cfg.input_w // 16)
-    encoded = build_context_encoder(
-        graph, graph.taps["os16"], "encoder", cfg.m, os16_hw, cfg.encoder, cfg.aggregation_width
-    )
+    encoded = build_context_encoder(graph, graph.taps["os16"], cfg)
     logits = build_decoder(graph, encoded, cfg, tap_widths)
     shapes = infer_shapes(graph, TensorShape(cfg.input_h, cfg.input_w, 3))
     return Model(cfg, graph, logits, shapes)
@@ -400,21 +380,21 @@ def _join(values):
 _INT = (parse_int, str)
 _INTS = (_parse_int_list, _join)
 
-# key: (section, parse(what, text), format(value)), in dump order; each key
-# names the field of its section's config class
+# key: (parse(what, text), format(value)), in dump order; each key names a
+# ModelConfig field
 _CONFIG_FIELDS = {
-    "m": ("model", *_INT),
-    "num_classes": ("model", *_INT),
-    "input_h": ("model", *_INT),
-    "input_w": ("model", *_INT),
-    "enc_filters": ("encoder", *_INT),
-    "dec_filters": ("decoder", *_INT),
-    "pyramid_bins": ("encoder", *_INTS),
-    "use_group_conv": ("encoder", _parse_bool, lambda v: "true" if v else "false"),
-    "group_kernels": ("encoder", *_INTS),
-    "skips": ("decoder", _parse_skips, lambda skips: _join(s.token() for s in skips)),
-    "aggregation_width_mode": ("model", lambda what, value: value, str),
-    "dilation_rows": ("model", *_INTS),
+    "m": _INT,
+    "num_classes": _INT,
+    "input_h": _INT,
+    "input_w": _INT,
+    "enc_filters": _INT,
+    "dec_filters": _INT,
+    "pyramid_bins": _INTS,
+    "use_group_conv": (_parse_bool, lambda v: "true" if v else "false"),
+    "group_kernels": _INTS,
+    "skips": (_parse_skips, lambda skips: _join(s.token() for s in skips)),
+    "aggregation_width_mode": (lambda what, value: value, str),
+    "dilation_rows": _INTS,
 }
 
 
@@ -434,15 +414,9 @@ def parse_config(text: str) -> ModelConfig:
         if key in raw:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value
-    fields: dict[str, dict] = {"model": {}, "encoder": {}, "decoder": {}}
-    for key, value in raw.items():
-        section, parse, _ = _CONFIG_FIELDS[key]
-        fields[section][key] = parse(f"config key {key}", value)
-    cfg = ModelConfig(
-        encoder=EncoderConfig(**fields["encoder"]),
-        decoder=DecoderConfig(**fields["decoder"]),
-        **fields["model"],
-    )
+    cfg = ModelConfig(**{
+        key: _CONFIG_FIELDS[key][0](f"config key {key}", value) for key, value in raw.items()
+    })
     cfg.validate()
     return cfg
 
@@ -458,11 +432,7 @@ def load_config(path) -> ModelConfig:
 
 
 def dump_config(cfg: ModelConfig) -> str:
-    sections = {"model": cfg, "encoder": cfg.encoder, "decoder": cfg.decoder}
-    return "".join(
-        f"{key}={fmt(getattr(sections[section], key))}\n"
-        for key, (section, _, fmt) in _CONFIG_FIELDS.items()
-    )
+    return "".join(f"{key}={fmt(getattr(cfg, key))}\n" for key, (_, fmt) in _CONFIG_FIELDS.items())
 
 
 def cityscapes_config() -> ModelConfig:
@@ -472,12 +442,4 @@ def cityscapes_config() -> ModelConfig:
 
 def ade20k_config() -> ModelConfig:
     """32 classes at 512x512 with m=448 and filters (64, 64)."""
-    return ModelConfig(
-        m=448, num_classes=32, input_h=512, input_w=512,
-        encoder=EncoderConfig(enc_filters=64),
-        decoder=DecoderConfig(dec_filters=64),
-    )
-
-
-def with_skips(cfg: ModelConfig, skips: tuple[SkipSpec, ...]) -> ModelConfig:
-    return replace(cfg, decoder=replace(cfg.decoder, skips=skips))
+    return ModelConfig(m=448, num_classes=32, input_h=512, input_w=512, enc_filters=64, dec_filters=64)

@@ -39,7 +39,7 @@ def cmd_describe(args) -> int:
     for stage in STAGES:
         n_nodes = sum(1 for c in report.per_node if c.name.startswith(stage + "/"))
         print(f"stage {stage}: {n_nodes} nodes, {report.stage_params[stage]} params")
-    print(f"{len(model.graph.order)} nodes total, logits at {model.logits}")
+    print(f"{len(model.graph.nodes)} nodes total, logits at {model.logits}")
     return 0
 
 

@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .arch import Model, ModelConfig, build_model, parse_int, parse_list, parse_skip, with_skips
+from .arch import Model, ModelConfig, build_model, parse_int, parse_list, parse_skip
 from .errors import ConfigError, ShapeError
 from .graph import infer_shapes
 from .tensor import TensorShape
@@ -93,8 +93,7 @@ def count_model(model: Model, policy: CostPolicy = DEFAULT_POLICY) -> CostReport
     stage_madds = {s: 0 for s in STAGES}
     stage_madds["other"] = 0
     stage_params = dict(stage_madds)
-    for name in graph.order:
-        spec = graph.nodes[name]
+    for name, spec in graph.nodes.items():
         if spec.kind == "Input":
             continue
         in_shapes = [shapes[r] for r in graph.inputs[name]]
@@ -132,13 +131,11 @@ def apply_variant(base: ModelConfig, axis: str, token: str) -> ModelConfig:
     """
     token = token.strip()
     if axis == "encoder_filters":
-        enc = replace(base.encoder, enc_filters=parse_int(axis, token))
-        return replace(base, encoder=enc)
+        return replace(base, enc_filters=parse_int(axis, token))
     if axis == "decoder_filters":
-        dec = replace(base.decoder, dec_filters=parse_int(axis, token))
-        return replace(base, decoder=dec)
+        return replace(base, dec_filters=parse_int(axis, token))
     if axis == "pyramid":
-        gc = base.encoder.use_group_conv
+        gc = base.use_group_conv
         bins_part = token
         if ":" in token:
             bins_part, flag = token.split(":", 1)
@@ -146,10 +143,9 @@ def apply_variant(base: ModelConfig, axis: str, token: str) -> ModelConfig:
                 raise ConfigError(f"pyramid variant {token!r}: suffix must be ':gc' or ':nogc'")
             gc = flag == "gc"
         bins = parse_list(bins_part, lambda v: parse_int(axis, v))
-        enc = replace(base.encoder, pyramid_bins=bins, use_group_conv=gc)
-        return replace(base, encoder=enc)
+        return replace(base, pyramid_bins=bins, use_group_conv=gc)
     if axis == "skips":
-        return with_skips(base, () if token == "0" else parse_list(token, parse_skip))
+        return replace(base, skips=() if token == "0" else parse_list(token, parse_skip))
     raise ConfigError(f"unknown ablation axis {axis!r}, expected one of {ABLATION_AXES}")
 
 

@@ -87,16 +87,9 @@ class Graph:
     source = "input"
 
     def __init__(self):
-        self.nodes: dict[str, NodeSpec] = {}
-        self.inputs: dict[str, tuple[str, ...]] = {}
-        self.order: list[str] = []
+        self.nodes: dict[str, NodeSpec] = {self.source: NodeSpec(self.source, "Input")}
+        self.inputs: dict[str, tuple[str, ...]] = {self.source: ()}
         self.taps: dict[str, str] = {}
-        self._append(NodeSpec(self.source, "Input"), ())
-
-    def _append(self, spec: NodeSpec, input_names: tuple[str, ...]):
-        self.nodes[spec.name] = spec
-        self.inputs[spec.name] = input_names
-        self.order.append(spec.name)
 
     def add_node(self, spec: NodeSpec, inputs=()) -> str:
         """Append a node wired to existing nodes; returns its name."""
@@ -118,7 +111,8 @@ class Graph:
             raise ConfigError(
                 f"node {spec.name!r} ({spec.kind}) needs {arity} inputs, got {len(inputs)}"
             )
-        self._append(spec, inputs)
+        self.nodes[spec.name] = spec
+        self.inputs[spec.name] = inputs
         return spec.name
 
     def add_tap(self, tap: str, node: str):
@@ -138,12 +132,12 @@ def topo_order(graph: Graph) -> list[str]:
     """The insertion order, which is topological; raises if a node reads one
     that is not earlier in it (a cycle in a graph edited behind add_node)."""
     seen = set()
-    for name in graph.order:
+    for name in graph.nodes:
         for ref in graph.inputs[name]:
             if ref not in seen:
                 raise ConfigError(f"graph contains a cycle: node {name!r} reads later node {ref!r}")
         seen.add(name)
-    return list(graph.order)
+    return list(graph.nodes)
 
 
 def _infer_node(spec: NodeSpec, in_shapes: list[TensorShape]) -> TensorShape:
@@ -251,8 +245,8 @@ def check_weights(graph: Graph, weights) -> None:
     """Every parameterized node has exactly its role entries, correctly shaped,
     and the store holds nothing else; a store that does not fit raises
     ``ShapeError``."""
-    wanted = {f"{name}/{role}": shape for name in graph.order
-              for role, shape in weight_shapes(graph.nodes[name]).items()}
+    wanted = {f"{name}/{role}": shape for name, spec in graph.nodes.items()
+              for role, shape in weight_shapes(spec).items()}
     missing = [k for k in wanted if k not in weights]
     if missing:
         raise ShapeError(f"missing weight entries: {missing[:4]} (of {len(missing)})")
@@ -288,14 +282,14 @@ def plan(graph: Graph, shapes: dict[str, TensorShape], fetch) -> list[Step]:
     reads it."""
     keep = set(fetch)
     counts = graph.consumers()
-    user = {ref: name for name in graph.order for ref in graph.inputs[name]}
+    user = {ref: name for name in graph.nodes for ref in graph.inputs[name]}
     convs = {name for name, spec in graph.nodes.items() if spec.kind in ("Conv", "DepthwiseConv")}
 
     def streams(name):
         return name in convs and name not in keep and counts[name] == 1 and user[name] in convs
 
     steps, planned, remaining, live = [], set(), dict(counts), 0
-    for name in graph.order:
+    for name in graph.nodes:
         if name in planned:
             continue
         group = [name]
@@ -369,8 +363,7 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch) -> dict[str, np.ndarray
 def describe_lines(graph: Graph, shapes: dict[str, TensorShape]) -> list[str]:
     """Line-oriented listing: name, kind, params, inputs, inferred shape."""
     lines = []
-    for name in graph.order:
-        spec = graph.nodes[name]
+    for name, spec in graph.nodes.items():
         lines.append(
             f"{name}  {spec.kind}  {_param_summary(spec)}  "
             f"<- {','.join(graph.inputs[name]) or '-'}  {shapes[name]}"

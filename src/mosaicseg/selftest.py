@@ -273,11 +273,7 @@ def _check_filter_ordering():
     base = cityscapes_config()
     totals = {}
     for enc, dec in reference.FILTER_VARIANTS_B:
-        cfg = replace(
-            base,
-            encoder=replace(base.encoder, enc_filters=enc),
-            decoder=replace(base.decoder, dec_filters=dec),
-        )
+        cfg = replace(base, enc_filters=enc, dec_filters=dec)
         totals[(enc, dec)] = count_config(cfg).total_madds
     want = reference.sorted_by_reference(reference.FILTER_VARIANTS_B)
     got = ordering(totals.items())

@@ -48,8 +48,8 @@ def init_weights(model_or_graph, seed: int) -> dict[str, np.ndarray]:
     graph: Graph = getattr(model_or_graph, "graph", model_or_graph)
     rng = seeded_rng(seed)
     store = {}
-    for name in graph.order:
-        for role, shape in weight_shapes(graph.nodes[name]).items():
+    for name, spec in graph.nodes.items():
+        for role, shape in weight_shapes(spec).items():
             require_drawable(math.prod(shape), f"the values of weight entry '{name}/{role}'")
             if role == "kernel":  # fan-in: every dimension but the output channels
                 std = 1.0 / np.sqrt(math.prod(shape[:-1]))

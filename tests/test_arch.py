@@ -1,13 +1,15 @@
+import dataclasses
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mosaicseg import reference
+from mosaicseg import arch, reference
 from mosaicseg.arch import (
-    BACKBONE_ROWS, DecoderConfig, EncoderConfig, ModelConfig, SkipSpec,
-    ade20k_config, build_backbone, build_bneck, build_model, cityscapes_config,
-    dump_config, load_config, parse_config, parse_skip, with_skips,
+    BACKBONE_ROWS, ModelConfig, SkipSpec, ade20k_config, build_backbone, build_bneck,
+    build_model, cityscapes_config, dump_config, load_config, parse_config, parse_skip,
 )
 from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError
@@ -70,7 +72,7 @@ def test_backbone_input_column_golden_at_224():
 
 def test_backbone_residual_rule():
     g = backbone_graph()
-    adds = [n for n in g.order if g.nodes[n].kind == "Add"]
+    adds = [n for n in g.nodes if g.nodes[n].kind == "Add"]
     # s=1 rows with matching in/out widths: 3, 5, 6, 7, 9, 10, 11, 13, 16, 17
     want = [f"backbone/bneck{i:02d}/add" for i in (3, 5, 6, 7, 9, 10, 11, 13, 16, 17)]
     assert adds == want
@@ -115,7 +117,7 @@ def test_bneck_zeroed_weights_is_identity(rng):
     out = build_bneck(g, g.source, "b", in_c=4, exp_size=8, out_c=4, kernel=3, stride=1)
     assert out == "b/add"
     store = {}
-    for name in g.order:
+    for name in g.nodes:
         spec = g.nodes[name]
         if spec.kind in ("Conv", "DepthwiseConv"):
             conv = spec.params["conv"]
@@ -168,8 +170,7 @@ def test_encoder_group_split_channel_arithmetic():
 def test_encoder_global_branch_is_spatially_constant(rng):
     cfg = ModelConfig(
         m=32, num_classes=3, input_h=32, input_w=32,
-        encoder=EncoderConfig(pyramid_bins=(1,), enc_filters=8),
-        decoder=DecoderConfig(skips=(), dec_filters=8),
+        enc_filters=8, dec_filters=8, pyramid_bins=(1,), skips=(),
     )
     model = build_model(cfg)
     store = init_weights(model, 3)
@@ -181,7 +182,7 @@ def test_encoder_global_branch_is_spatially_constant(rng):
 def test_encoder_four_level_adds_exactly_one_level():
     base = cityscapes_config()
     three = build_model(base)
-    four = build_model(replace(base, encoder=replace(base.encoder, pyramid_bins=(1, 4, 8, 16))))
+    four = build_model(replace(base, pyramid_bins=(1, 4, 8, 16)))
     extra = set(four.graph.nodes) - set(three.graph.nodes)
     assert extra == {n for n in four.graph.nodes if n.startswith("encoder/level01/")}
 
@@ -189,14 +190,14 @@ def test_encoder_four_level_adds_exactly_one_level():
 def test_encoder_two_level_config_diff_is_one_level_subgraph():
     base = cityscapes_config()
     three = build_model(base)
-    two = build_model(replace(base, encoder=replace(base.encoder, pyramid_bins=(4, 8))))
+    two = build_model(replace(base, pyramid_bins=(4, 8)))
     removed = set(three.graph.nodes) - set(two.graph.nodes)
     assert removed == {n for n in three.graph.nodes if n.startswith("encoder/level16/")}
 
 
 def test_encoder_gc_off_runs_full_width_branches():
     base = cityscapes_config()
-    model = build_model(replace(base, encoder=replace(base.encoder, use_group_conv=False)))
+    model = build_model(replace(base, use_group_conv=False))
     assert "encoder/level16/group0/slice" not in model.graph.nodes
     assert model.graph.nodes["encoder/level16/group0/dw"].params["conv"].in_c == 480
     assert model.shapes["encoder/level16/concat"].c == 32
@@ -204,7 +205,7 @@ def test_encoder_gc_off_runs_full_width_branches():
 
 def test_encoder_grid_larger_than_feature_named_in_error():
     cfg = replace(cityscapes_config(), input_h=128, input_w=128)  # os16 map is 8x8
-    with pytest.raises(ConfigError, match="16x16"):
+    with pytest.raises(ConfigError, match="^node encoder/level16/pool: pool grid 16x16 exceeds input 8x8$"):
         build_model(cfg)
 
 
@@ -231,7 +232,7 @@ def test_decoder_default_resize_chain_and_logits():
 def test_decoder_concat_merge_node_structure():
     model = build_model(cityscapes_config())
     g = model.graph
-    merge = [n for n in g.order if n.startswith("decoder/merge_os8/")]
+    merge = [n for n in g.nodes if n.startswith("decoder/merge_os8/")]
     kinds = [g.nodes[n].kind for n in merge]
     # concat, then conv, depthwise and conv, each with bn and relu
     assert kinds == ["ConcatChannels", "Conv", "DepthwiseConv", "Conv"]
@@ -243,7 +244,7 @@ def test_decoder_concat_merge_node_structure():
 def test_decoder_sum_merge_is_linear_projection_plus_add():
     model = build_model(cityscapes_config())
     g = model.graph
-    merge = [n for n in g.order if n.startswith("decoder/merge_os4/")]
+    merge = [n for n in g.nodes if n.startswith("decoder/merge_os4/")]
     kinds = [g.nodes[n].kind for n in merge]
     assert kinds == ["Conv", "Add"]
     params = g.nodes["decoder/merge_os4/skip_proj"].params
@@ -255,8 +256,7 @@ def test_decoder_sum_merge_is_linear_projection_plus_add():
 def test_decoder_sum_merge_zero_projection_passes_semantic(rng):
     cfg = ModelConfig(
         m=32, num_classes=4, input_h=64, input_w=64,
-        encoder=EncoderConfig(pyramid_bins=(2,), enc_filters=8),
-        decoder=DecoderConfig(skips=(SkipSpec(4, "sum"),), dec_filters=8),
+        enc_filters=8, dec_filters=8, pyramid_bins=(2,), skips=(SkipSpec(4, "sum"),),
     )
     model = build_model(cfg)
     store = init_weights(model, 5)
@@ -267,28 +267,28 @@ def test_decoder_sum_merge_zero_projection_passes_semantic(rng):
 
 
 def test_decoder_zero_skips_classifies_at_os16():
-    model = build_model(with_skips(cityscapes_config(), ()))
+    model = build_model(replace(cityscapes_config(), skips=()))
     assert model.shapes["head/classifier"] == TensorShape(64, 128, 19)
     assert model.shapes["head/upsample"] == TensorShape(1024, 2048, 19)
     assert not any(n.startswith("decoder/") for n in model.graph.nodes)
 
 
 def test_decoder_single_sum_merge_variant():
-    model = build_model(with_skips(cityscapes_config(), (SkipSpec(4, "sum"),)))
+    model = build_model(replace(cityscapes_config(), skips=(SkipSpec(4, "sum"),)))
     merges = {n.split("/")[1] for n in model.graph.nodes if n.startswith("decoder/merge")}
     assert merges == {"merge_os4"}
 
 
 def test_decoder_three_skips_reach_os2():
     skips = (SkipSpec(8, "concat"), SkipSpec(4, "sum"), SkipSpec(2, "sum"))
-    model = build_model(with_skips(cityscapes_config(), skips))
+    model = build_model(replace(cityscapes_config(), skips=skips))
     assert model.shapes["decoder/merge_os2/add"] == TensorShape(512, 1024, 64)
     assert model.shapes["head/classifier"] == TensorShape(512, 1024, 19)
 
 
 def test_decoder_skip_strides_must_decrease():
     with pytest.raises(ConfigError, match="decreasing"):
-        build_model(with_skips(cityscapes_config(), (SkipSpec(4, "sum"), SkipSpec(8, "concat"))))
+        build_model(replace(cityscapes_config(), skips=(SkipSpec(4, "sum"), SkipSpec(8, "concat"))))
 
 
 def test_concat_merge_ignores_zero_skip(rng):
@@ -311,8 +311,7 @@ def test_concat_merge_ignores_zero_skip(rng):
 def test_sum_merge_scales_linearly_with_bias_free_branches(rng):
     cfg = ModelConfig(
         m=32, num_classes=4, input_h=64, input_w=64,
-        encoder=EncoderConfig(pyramid_bins=(2,), enc_filters=8),
-        decoder=DecoderConfig(skips=(SkipSpec(4, "sum"),), dec_filters=8),
+        enc_filters=8, dec_filters=8, pyramid_bins=(2,), skips=(SkipSpec(4, "sum"),),
     )
     model = build_model(cfg)
     store = init_weights(model, 21)
@@ -352,8 +351,7 @@ def test_model_logits_shape_law():
         cityscapes_config(),
         ade20k_config(),
         ModelConfig(m=64, num_classes=7, input_h=256, input_w=320,
-                    encoder=EncoderConfig(enc_filters=16),
-                    decoder=DecoderConfig(dec_filters=16)),
+                    enc_filters=16, dec_filters=16),
     ):
         model = build_model(cfg)
         assert model.shapes[model.logits] == TensorShape(cfg.input_h, cfg.input_w, cfg.num_classes)
@@ -370,7 +368,7 @@ def test_model_node_count_matches_block_tally():
     encoder = 3 * (1 + 2 * 3 + 1 + 1) + 1 + 1
     decoder = 1 + 4 + 1 + 2
     head = 2
-    assert len(model.graph.order) == 1 + backbone + encoder + decoder + head == 100
+    assert len(model.graph.nodes) == 1 + backbone + encoder + decoder + head == 100
 
 
 @pytest.mark.parametrize("key,value", [("input_h", 0), ("input_w", -16)])
@@ -404,8 +402,7 @@ def test_model_dilation_rows_validated():
 def test_model_execute_deterministic_with_seeded_weights(rng):
     cfg = ModelConfig(
         m=32, num_classes=4, input_h=64, input_w=64,
-        encoder=EncoderConfig(pyramid_bins=(2, 4), enc_filters=8),
-        decoder=DecoderConfig(dec_filters=8),
+        enc_filters=8, dec_filters=8, pyramid_bins=(2, 4),
     )
     model = build_model(cfg)
     store = init_weights(model, 11)
@@ -444,6 +441,20 @@ def test_config_dump_text_is_pinned():
     )
 
 
+def test_config_object_is_its_file():
+    # one flat field per config-file key, in dump order
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == list(arch._CONFIG_FIELDS)
+
+
+def test_readme_config_example_is_the_ade20k_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    cli = readme.split("\n## CLI\n", 1)[1]
+    text = re.search(r"^```\n(.*?)^```$", cli, re.S | re.M).group(1)
+    assert parse_config(text) == ade20k_config()
+    keys = [line.split("=", 1)[0] for line in text.splitlines()]
+    assert keys == list(arch._CONFIG_FIELDS)
+
+
 def test_load_config_non_utf8_is_config_error(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_bytes(b"m=4\xff80\n")
@@ -472,7 +483,7 @@ def test_config_duplicate_key():
 
 def test_config_empty_skips_means_no_skips():
     cfg = parse_config("skips=\n")
-    assert cfg.decoder.skips == ()
+    assert cfg.skips == ()
 
 
 # one list rule for config values and ablation tokens: a blank value is no
@@ -502,14 +513,14 @@ def test_ablation_token_empty_list_item_raises(axis, token, match):
 def test_blank_lists_are_empty_and_round_trip():
     base = cityscapes_config()
     assert apply_variant(base, "skips", " ") == apply_variant(base, "skips", "0")
-    assert apply_variant(base, "pyramid", "").encoder.pyramid_bins == ()
+    assert apply_variant(base, "pyramid", "").pyramid_bins == ()
     cfg = parse_config("skips=\ndilation_rows=\n")
-    assert (cfg.decoder.skips, cfg.dilation_rows) == ((), ())
+    assert (cfg.skips, cfg.dilation_rows) == ((), ())
     text = dump_config(cfg)
     assert "\nskips=\n" in text and "\ndilation_rows=\n" in text
     assert parse_config(text) == cfg
     # pyramid_bins= parses to (), which the encoder rejects after parsing
-    no_bins = replace(base, encoder=replace(base.encoder, pyramid_bins=()))
+    no_bins = replace(base, pyramid_bins=())
     assert "\npyramid_bins=\n" in dump_config(no_bins)
     with pytest.raises(ConfigError, match="^pyramid_bins must be nonempty$"):
         parse_config(dump_config(no_bins))
@@ -538,8 +549,8 @@ def test_config_integers_are_ascii_decimal(line, match):
 
 def test_config_integer_items_may_be_spaced_and_negative():
     cfg = parse_config("pyramid_bins= 4 , 8 ,16\nskips= 8 -C , 4-S\n")
-    assert cfg.encoder.pyramid_bins == (4, 8, 16)
-    assert [s.token() for s in cfg.decoder.skips] == ["8-C", "4-S"]
+    assert cfg.pyramid_bins == (4, 8, 16)
+    assert [s.token() for s in cfg.skips] == ["8-C", "4-S"]
     with pytest.raises(ConfigError, match="m must be positive, got -480"):
         parse_config("m=-480\n")
 
@@ -552,7 +563,7 @@ def test_config_bad_aggregation_mode():
 def test_config_comments_and_spacing():
     cfg = parse_config("# comment\n\n  m = 448  # endpoint\nskips=8-C\n")
     assert cfg.m == 448
-    assert [s.token() for s in cfg.decoder.skips] == ["8-C"]
+    assert [s.token() for s in cfg.skips] == ["8-C"]
 
 
 def test_encoder_filters_divisibility_checked():

@@ -5,10 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mosaicseg.arch import (
-    DecoderConfig, EncoderConfig, ModelConfig, SkipSpec, ade20k_config, cityscapes_config,
-    with_skips,
-)
+from mosaicseg.arch import ModelConfig, SkipSpec, ade20k_config, cityscapes_config
 from mosaicseg.cost import (
     DEFAULT_POLICY, INCLUSIVE_POLICY, ablation_report, apply_variant, count_config,
     count_model, count_node, render_ablation_csv, render_report_csv, render_report_text,
@@ -117,7 +114,7 @@ def test_total_is_sum_of_per_node():
 def test_removing_subgraph_decreases_by_its_subtotal():
     base = cityscapes_config()
     three = count_config(base)
-    two = count_config(replace(base, encoder=replace(base.encoder, pyramid_bins=(4, 8))))
+    two = count_config(replace(base, pyramid_bins=(4, 8)))
     level16 = sum(
         c.madds for c in three.per_node if c.name.startswith("encoder/level16/")
     )
@@ -146,8 +143,8 @@ def test_skip_variants_strictly_increase_cost_nodes_params():
     reports = {}
     for skips in [(), (SkipSpec(4, "sum"),), (SkipSpec(8, "concat"), SkipSpec(4, "sum")),
                   (SkipSpec(8, "concat"), SkipSpec(4, "sum"), SkipSpec(2, "sum"))]:
-        model = build_model(with_skips(base, skips))
-        reports[len(skips)] = (len(model.graph.order), count_model(model))
+        model = build_model(replace(base, skips=skips))
+        reports[len(skips)] = (len(model.graph.nodes), count_model(model))
     for fewer, more in zip(range(0, 3), range(1, 4)):
         n0, r0 = reports[fewer]
         n1, r1 = reports[more]
@@ -183,9 +180,9 @@ def test_ablation_single_variant_equals_count_model():
 def test_ablation_pyramid_variant_grammar():
     base = cityscapes_config()
     cfg = apply_variant(base, "pyramid", "1,4,8,16")
-    assert cfg.encoder.pyramid_bins == (1, 4, 8, 16)
+    assert cfg.pyramid_bins == (1, 4, 8, 16)
     cfg = apply_variant(base, "pyramid", "4,8,16:nogc")
-    assert cfg.encoder.use_group_conv is False
+    assert cfg.use_group_conv is False
     with pytest.raises(ConfigError):
         apply_variant(base, "pyramid", "4,8:maybe")
 
@@ -232,8 +229,7 @@ def test_inclusive_policy_adds_cost_but_keeps_order():
 def test_report_csv_rows_parse_back():
     report = count_config(
         ModelConfig(m=64, num_classes=5, input_h=64, input_w=64,
-                    encoder=EncoderConfig(pyramid_bins=(2,), enc_filters=8),
-                    decoder=DecoderConfig(dec_filters=8))
+                    enc_filters=8, dec_filters=8, pyramid_bins=(2,))
     )
     rows = list(csv.DictReader(io.StringIO(render_report_csv(report))))
     assert rows[-1]["label"] == "total"

@@ -125,7 +125,7 @@ def test_topo_linear_chain_is_insertion_order():
     prev = g.source
     for i in range(5):
         prev = g.add_node(pool_spec(f"r{i}"), (prev,))
-    assert topo_order(g) == g.order
+    assert topo_order(g) == [g.source] + [f"r{i}" for i in range(5)]
 
 
 def test_topo_diamond():
@@ -327,6 +327,35 @@ def test_streaming_leaves_the_logits_of_ablation_variants_alone(axis, token):
     assert np.array_equal(streamed.view(np.uint32), alone.view(np.uint32))
 
 
+ABLATION_TOKENS = (
+    [("skips", t) for t in reference.SKIP_VARIANTS_B]
+    + [("pyramid", t) for t in reference.PYRAMID_VARIANTS_B]
+    + [("encoder_filters", str(enc)) for enc in sorted({enc for enc, _ in reference.FILTER_VARIANTS_B})]
+    + [("decoder_filters", str(dec)) for dec in sorted({dec for _, dec in reference.FILTER_VARIANTS_B})]
+)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_streaming_leaves_random_configs_and_fetch_sets_alone(case):
+    # a seeded draw of resolution, endpoint width, one ablation token and the
+    # logits plus up to 5 more nodes; each fetched value must match, bit for
+    # bit, the same node of a run that fetches every node, where nothing streams
+    rng = np.random.default_rng((20261019, case))
+    axis, token = ABLATION_TOKENS[rng.integers(len(ABLATION_TOKENS))]
+    cfg = replace(ade20k_config(), input_h=int(rng.choice([256, 288])),
+                  input_w=int(rng.choice([256, 320])), m=int(rng.choice([32, 64, 96])))
+    model = build_model(apply_variant(cfg, axis, token))
+    graph, every = model.graph, list(model.graph.nodes)
+    fetch = [model.logits, *map(str, rng.choice(every, size=rng.integers(6), replace=False))]
+    assert any(len(step.nodes) > 1 for step in plan(graph, model.shapes, fetch))
+    store = init_weights(model, case)
+    x = rng.uniform(-1.0, 1.0, size=(cfg.input_h, cfg.input_w, 3)).astype(np.float32)
+    got = execute(graph, store, x, fetch=fetch)
+    alone = execute(graph, store, x, fetch=every)
+    for name in fetch:
+        assert np.array_equal(got[name].view(np.uint32), alone[name].view(np.uint32)), name
+
+
 def benchmark_tracer():
     """A perfbench ``Tracer`` over the package modules, not installed."""
     from mosaicseg import arch, cost, graph, images, metrics, weights
@@ -483,7 +512,7 @@ def test_describe_lines_cover_every_node():
     c = g.add_node(conv_spec("c", 3, 4, bias=True, relu=True), (g.source,))
     g.add_node(NodeSpec("s", "Slice", {"start": 1, "stop": 3}), (c,))
     lines = describe_lines(g, infer_shapes(g, TensorShape(8, 8, 3)))
-    assert len(lines) == len(g.order)
+    assert len(lines) == len(g.nodes)
     assert any("3->4 bias relu  <-" in line for line in lines)
     assert any("[1:3]" in line for line in lines)
 
@@ -500,7 +529,7 @@ def test_plan_live_peak_of_the_pinned_configs(config, peak):
     assert (len(steps), len(streamed)) == (58, 22)
     assert ("backbone/bneck03/expand", "backbone/bneck03/dw", "backbone/bneck03/project") in streamed
     ran = [name for step in steps for name in step.nodes]
-    assert sorted(ran) == sorted(model.graph.order)
+    assert sorted(ran) == sorted(model.graph.nodes)
 
 
 def bneck_graph(rng, h=40, w=24, stride=2):
@@ -510,8 +539,8 @@ def bneck_graph(rng, h=40, w=24, stride=2):
     stem = g.add_node(conv_spec("stem", 3, 8, k=1), (g.source,))
     build_bneck(g, stem, "b", 8, 48, 8, 3, stride)
     store = {}
-    for name in g.order:
-        for role, shape in weight_shapes(g.nodes[name]).items():
+    for name, spec in g.nodes.items():
+        for role, shape in weight_shapes(spec).items():
             draw = rng.standard_normal(shape) / np.sqrt(np.prod(shape[:-1]))
             store[f"{name}/{role}"] = (1.0 + 0.1 * draw if role == "bn/scale" else draw).astype(np.float32)
     return g, store, rng.uniform(-1.0, 1.0, size=(h, w, 3)).astype(np.float32)

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from mosaicseg.arch import DecoderConfig, EncoderConfig, ModelConfig, ade20k_config, build_model, cityscapes_config
+from mosaicseg.arch import ModelConfig, ade20k_config, build_model, cityscapes_config
 from mosaicseg.errors import ConfigError, FormatError, ShapeError
 from mosaicseg.graph import check_weights
 from mosaicseg.images import (
@@ -24,8 +24,7 @@ def same_store(a, b) -> bool:
 def small_model():
     return build_model(ModelConfig(
         m=32, num_classes=4, input_h=64, input_w=64,
-        encoder=EncoderConfig(pyramid_bins=(2, 4), enc_filters=8),
-        decoder=DecoderConfig(dec_filters=8),
+        enc_filters=8, dec_filters=8, pyramid_bins=(2, 4),
     ))
 
 
@@ -56,8 +55,7 @@ def test_init_kernel_variance_tracks_fan_in():
     model = build_model(ModelConfig())  # full-size model has big kernel entries
     store = init_weights(model, 123)
     checked = 0
-    for name in model.graph.order:
-        spec = model.graph.nodes[name]
+    for name, spec in model.graph.nodes.items():
         if spec.kind != "Conv":
             continue
         conv = spec.params["conv"]
