@@ -304,8 +304,6 @@ def build_decoder(graph, encoded, cfg: ModelConfig, tap_widths):
     ref = encoded
     for skip in cfg.skips:
         tap = f"os{skip.output_stride}"
-        if tap not in taps:
-            raise ConfigError(f"decoder requests missing backbone tap {tap!r}")
         sh = cfg.input_h // skip.output_stride
         sw = cfg.input_w // skip.output_stride
         ref = graph.add_node(

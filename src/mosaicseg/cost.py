@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 from .arch import Model, ModelConfig, build_model, parse_int, parse_list, parse_skip
 from .errors import ConfigError, ShapeError
-from .graph import infer_shapes
+# unused here, but perfbench's tracer wraps cost.infer_shapes by name
+from .graph import infer_shapes  # noqa: F401
 from .tensor import TensorShape
 
 STAGES = ("backbone", "encoder", "decoder", "head")
@@ -86,8 +87,7 @@ def _stage_of(name: str) -> str:
 
 def count_model(model: Model, policy: CostPolicy = DEFAULT_POLICY) -> CostReport:
     """Per-node counts summed into stage subtotals and totals."""
-    cfg, graph = model.cfg, model.graph
-    shapes = model.shapes or infer_shapes(graph, TensorShape(cfg.input_h, cfg.input_w, 3))
+    cfg, graph, shapes = model.cfg, model.graph, model.shapes
 
     per_node = []
     stage_madds = {s: 0 for s in STAGES}

@@ -24,6 +24,23 @@ and the cost model:
   c), with padded column j at [:, j % stride, j // stride], so every kernel
   tap, and every im2col copy, reads one contiguous run per row even at
   stride 2. At stride 1 there is one phase, the plain padded rows.
+* ``streamed_convs`` runs a wide step, one in which every conv writes rows of
+  at least ``_SPLIT_ROW_ELEMS`` float32 values and whose output has at least
+  2 rows, as two halves of the last conv's output rows: the calling thread
+  runs the top half and one persistent worker thread the bottom half, one
+  split at a time, each with one OpenBLAS thread for the call
+  (``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel; the
+  previous count is restored). Each half computes the rows of every earlier
+  stage that its rows read, so a few rows per stage are computed twice, by the
+  same operations, and checked by the top half only. The bottom half's
+  buffers are allocated on the calling thread before the worker starts. The
+  worker runs under the caller's numpy error state and checks its rows with
+  ``tensor.require_finite``: perfbench's tracer wraps
+  ``kernels.require_finite`` and ``kernels.as_feature_map`` with one span
+  stack. The call waits for the worker, and an exception of the calling
+  thread's half takes precedence over one of the worker's. Below the floor,
+  without that OpenBLAS symbol, or with fewer than 2 usable cores, a step
+  runs serially, through the same code over the full range.
 * ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32, widened again for the affine,
@@ -46,13 +63,28 @@ and the cost model:
 All kernels are pure functions of their arguments and never mutate inputs.
 """
 
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 
+from . import tensor
 from .errors import ConfigError, ShapeError
 from .tensor import ConvParams, as_feature_map, require_finite
 
 # float64 bytes per band buffer: small enough to stay in cache
 _BAND_BYTES = 1 << 20
+# A streamed step runs as two row halves only if every conv in it writes rows
+# of at least this many float32 values (out_w * c). Measured on 2 cores: the
+# ADE20K groups, whose rows hold at most 5,120 values, ran 10-40% slower split
+# (0.56 s serial against 0.68 s, summed over steps), as their numpy calls take
+# about 10 us and GIL hand-offs dominate; the Cityscapes backbone groups, with
+# rows of at least 12,288 values, ran 30-50% faster (bneck02: 1105 -> 655 ms).
+_SPLIT_ROW_ELEMS = 8192
 
 
 def _band_rows(n_rows: int, row_elems: int) -> int:
@@ -124,62 +156,168 @@ def streamed_convs(x, stages) -> np.ndarray:
     the last stage's output is allocated whole; each stage computes the bands
     it computes alone, and the result has the bits of calling the stages one
     after another. Once the last stage is done, the stages before it finish
-    their remaining bands, last first, so every value is checked."""
+    their remaining bands, last first, so every value is checked. A wide step
+    runs as two row halves on two threads (module docstring)."""
     x = as_feature_map(x)
     convs, shape = [], x.shape
     for fn, kernels, bias, params, affine, relu in stages:
         kernels, bias = _conv_args(fn, shape[2], kernels, bias, params)
         convs.append(_Conv(fn, shape, kernels, bias, params, affine, relu))
         shape = convs[-1].out_shape
+    out = np.empty(shape, dtype=np.float32)
+    blas = _split_blas(convs)
+    if blas is None:
+        _exhaust(_runs(x, convs, out, [(0, conv.out_shape[0], 0) for conv in convs], require_finite))
+        return out
+    top, bottom = _halves(convs)
+    top = _runs(x, convs, out, top, require_finite)
+    # perfbench wraps kernels.require_finite with a single-thread span stack
+    bottom = _runs(x, convs, out, bottom, tensor.require_finite)
+    set_threads = blas.openblas_set_num_threads_local
+    worker, one_split = _worker()
+    with one_split:
+        prev = set_threads(1)
+        try:
+            job = worker.submit(_exhaust_on_worker, bottom, np.geterr(), set_threads)
+            try:
+                _exhaust(top)
+            finally:
+                job.exception()  # waits for the worker, raising nothing
+                bottom.clear()  # so its buffers are freed here, not when the worker drops the job
+            job.result()
+        finally:
+            set_threads(prev)
+    return out
 
+
+@functools.cache
+def _worker():
+    """The one persistent thread that runs the bottom half of every split
+    step, started by its first job, and the lock that admits one split at a
+    time, as a split sets the process's BLAS thread count. Made again in a
+    forked child, which has no copy of the thread. The executor's module is
+    imported with this one: imported here, mid-forward, it raised the
+    Cityscapes peak RSS from 266 to 307 MB on a 2-core host."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="mosaicseg-rows"), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS bundled in numpy's wheel, if it exports
+    ``openblas_set_num_threads_local`` (which returns the previous count);
+    None for any other BLAS."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            setter = lib.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return lib
+    return None
+
+
+def _split_blas(convs):
+    """The OpenBLAS whose thread count a split sets, if the step of ``convs``
+    splits: every conv writes rows of at least ``_SPLIT_ROW_ELEMS`` values,
+    the output has at least 2 rows, and 2 cores are usable. Else None."""
+    if convs[-1].out_shape[0] < 2 or any(c.out_shape[1] * c.out_shape[2] < _SPLIT_ROW_ELEMS for c in convs):
+        return None
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _openblas() if cores >= 2 else None
+
+
+def _halves(convs):
+    """The (lo, hi, checked) rows of each stage that the top and the bottom
+    half of a split compute. The top half computes the first half of the last
+    conv's output rows, the bottom half the rest, and each half the rows of
+    every earlier stage that these read, found working backwards. The bottom
+    half starts each earlier stage at a band boundary, so that no band wraps
+    its ring, and the top half computes each stage up to where the bottom
+    half starts, so that every row is computed. Rows that both compute are
+    checked by the top half only."""
+    out_h = convs[-1].out_shape[0]
+    top, bottom = [(0, out_h // 2, 0)], [(out_h // 2, out_h, out_h // 2)]
+    for conv, reader in zip(convs[-2::-1], convs[:0:-1]):
+        s = reader.params.stride
+        lo = max(bottom[0][0] * s - reader.pad_t, 0) // conv.step * conv.step
+        hi = max(min((top[0][1] - 1) * s - reader.pad_t + reader.span, reader.h), lo)
+        top.insert(0, (0, hi, 0))
+        bottom.insert(0, (lo, conv.out_shape[0], hi))
+    return top, bottom
+
+
+def _runs(x, convs, out, ranges, check):
+    """The band generators that compute rows ``ranges[i]``, (lo, hi,
+    checked), of each ``convs[i]`` from the input ``x`` into ``out``, in the
+    order ``_exhaust`` runs them: the last stage's, then each ring's remaining
+    bands, last first. Every buffer is allocated here, on the calling
+    thread."""
     def src(lo, hi):  # the rows of the materialized input
         return ((lo, x[lo:hi]),)
 
     rings = []
-    for conv, reader in zip(convs, convs[1:]):
-        rings.append(_Ring(conv, src, reader.reads))
+    for conv, reader, rows in zip(convs, convs[1:], ranges):
+        rings.append(_Ring(conv, src, reader.reads, rows, check))
         src = rings[-1].rows
-    out = np.empty(shape, dtype=np.float32)
-    for _ in convs[-1].bands(src, lambda r0, n: out[r0:r0 + n]):
-        pass
-    for ring in reversed(rings):
-        ring.drain()
-    return out
+    last = convs[-1].bands(src, lambda r0, n: out[r0:r0 + n], ranges[-1], check)
+    return [last] + [ring.bands for ring in reversed(rings)]
+
+
+def _exhaust(runs):
+    for run in runs:
+        for _ in run:
+            pass
+
+
+def _exhaust_on_worker(runs, err, set_threads):
+    """``_exhaust`` on the worker thread, under the caller's numpy error
+    state ``err`` and with one BLAS thread."""
+    prev = set_threads(1)
+    try:
+        with np.errstate(**err):
+            _exhaust(runs)
+    finally:
+        set_threads(prev)
 
 
 class _Ring:
-    """The output rows of ``conv``, computed band by band as a reader asks for
-    them and held in a ring of float32 rows, row j at j % len(buf): one
-    reader's widest read of ``reads`` rows plus one band, rounded up to whole
-    bands so that no band wraps. The reader asks for rows in increasing
-    order, never below its previous first row."""
+    """The output rows lo .. hi - 1 of ``conv``, ``rows`` being (lo, hi,
+    checked), computed band by band as a reader asks for them and held in a
+    ring of float32 rows, row j at j % len(buf): one reader's widest read of
+    ``reads`` rows plus one band, rounded up to whole bands so that no band
+    that starts at a multiple of the band height wraps. The reader asks for
+    rows in increasing order, never below its previous first row."""
 
-    def __init__(self, conv, src, reads: int):
-        out_h, out_w, c = conv.out_shape
+    def __init__(self, conv, src, reads: int, rows, check):
+        lo, hi, _ = rows
         n = conv.step
-        size = min(-(-(reads + n - 1) // n), -(-out_h // n)) * n
-        self.buf = np.empty((size, out_w, c), dtype=np.float32)
-        self.done = 0  # output rows computed so far
-        self._bands = conv.bands(src, self._dest)
+        size = min(-(-(reads + n - 1) // n), -(-(hi - lo) // n)) * n
+        buf = self.buf = np.empty((size, *conv.out_shape[1:]), dtype=np.float32)
 
-    def _dest(self, r0: int, n: int) -> np.ndarray:
-        j = r0 % len(self.buf)
-        return self.buf[j:j + n]
+        def dest(r0: int, n: int) -> np.ndarray:
+            return buf[r0 % size:r0 % size + n]
+
+        self.done = lo  # output rows computed so far end here
+        # dest holds the buffer and not the ring, so no reference cycle keeps
+        # a finished step's buffers for the garbage collector to free at a
+        # time that varies with the threads' interleaving
+        self.bands = conv.bands(src, dest, rows, check)
 
     def rows(self, lo: int, hi: int):
         """Rows lo .. hi - 1 as (first row, float32 rows) runs of the ring."""
         while self.done < hi:
-            self.done = next(self._bands)
+            self.done = next(self.bands)
         size = len(self.buf)
         while lo < hi:
             j = lo % size
             n = min(hi - lo, size - j)
             yield lo, self.buf[j:j + n]
             lo += n
-
-    def drain(self):
-        for self.done in self._bands:
-            pass
 
 
 class _Conv:
@@ -226,57 +364,64 @@ class _Conv:
             self.phases.append((p, x0, slice(q0, q0 + len(range(x0, w, s)))))
         self.row_shape = (s, -(-(pad_l + w + pad_r) // s), in_c)
 
-    def bands(self, src, dest):
-        """Compute the output bands in order, reading input rows lo .. hi - 1
-        as the (first row, rows) runs of ``src(lo, hi)`` and writing output
-        rows r0 .. r0 + n - 1 into ``dest(r0, n)``; yields r0 + n after each
-        band."""
+    def bands(self, src, dest, rows, check):
+        """The generator that computes output rows lo .. hi - 1, ``rows``
+        being (lo, hi, checked), band by band in order: it reads input rows
+        a .. b - 1 as the (first row, rows) runs of ``src(a, b)``, writes
+        output rows r0 .. r0 + n - 1 into ``dest(r0, n)``, checks those from
+        row ``checked`` on with ``check``, and yields r0 + n after each band.
+        Its buffers are allocated here, on the calling thread."""
         p = self.params
         kh, kw, s, d = p.kernel_h, p.kernel_w, p.stride, p.dilation
-        out_h, out_w, c = self.out_shape
+        out_w, c = self.out_shape[1:]
         h, step, span, phases = self.h, self.step, self.span, self.phases
         kernel_taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
         # a 1x1 stride-1 band is its own im2col block
         im2col = not (p.is_depthwise or kh == kw == s == 1)
         win_buf = np.empty((step, out_w, kh, kw, self.row_shape[2])) if im2col else None
-        # pad columns stay 0; so do top pad rows, which only ever shrink from
-        # band to band. A depthwise conv keeps its span rows as a ring, padded
-        # row j at j % span, so that each input row is copied once and not
-        # span / s times.
-        rows = np.zeros(((step - 1) * s + span, *self.row_shape))
+        # pad columns stay 0; so do top pad rows, which only the first band
+        # reads. A depthwise conv keeps its span rows as a ring, padded row j
+        # at j % span, so that each input row is copied once and not span / s
+        # times.
+        padded = np.zeros(((step - 1) * s + span, *self.row_shape))
         acc_buf = np.empty((step, out_w, c))
         tmp_buf = np.empty((step, out_w, c)) if p.is_depthwise else None
         k64, b64 = self.k64, self.b64
-        copied = -self.pad_t  # the first padded row not yet in the ring
-        for r0 in range(0, out_h, step):
-            n = min(step, out_h - r0)
-            acc = acc_buf[:n]
-            first = r0 * s - self.pad_t  # input row of the band's first padded row
-            if p.is_depthwise:
-                for j in range(max(first, copied), first + span):
-                    _fill_rows(rows[j % span:j % span + 1], src, j, h, phases, s)
-                copied = first + span
-                np.multiply(_tap(rows, first % span, 1, out_w, 0, p), k64[0, 0], out=acc)
-                for ki, kj in kernel_taps[1:]:
-                    tap = _tap(rows, (first + ki * d) % span, 1, out_w, kj, p)
-                    np.multiply(tap, k64[ki, kj], out=tmp_buf)
-                    acc += tmp_buf
-                acc += 0.0
-            else:
-                band = rows[:(n - 1) * s + span]
-                _fill_rows(band, src, first, h, phases, s)
-                win = band
-                if win_buf is not None:
-                    win = win_buf[:n]
-                    for ki, kj in kernel_taps:
-                        win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, p)
-                flat = acc.reshape(n * out_w, c)
-                for cin, cout, w64 in self.groups:
-                    np.matmul(win[..., cin].reshape(n * out_w, -1), w64, out=flat[:, cout])
-            if b64 is not None:
-                acc += b64
-            _finish_band(acc, dest(r0, n), self.fn, self.affine, self.relu)
-            yield r0 + n
+        lo, hi, checked = rows
+
+        def run():
+            copied = -self.pad_t  # the first padded row not yet in the ring
+            for r0 in range(lo, hi, step):
+                n = min(step, hi - r0)
+                acc = acc_buf[:n]
+                first = r0 * s - self.pad_t  # input row of the band's first padded row
+                if p.is_depthwise:
+                    for j in range(max(first, copied), first + span):
+                        _fill_rows(padded[j % span:j % span + 1], src, j, h, phases, s)
+                    copied = first + span
+                    np.multiply(_tap(padded, first % span, 1, out_w, 0, p), k64[0, 0], out=acc)
+                    for ki, kj in kernel_taps[1:]:
+                        tap = _tap(padded, (first + ki * d) % span, 1, out_w, kj, p)
+                        np.multiply(tap, k64[ki, kj], out=tmp_buf)
+                        acc += tmp_buf
+                    acc += 0.0
+                else:
+                    band = padded[:(n - 1) * s + span]
+                    _fill_rows(band, src, first, h, phases, s)
+                    win = band
+                    if win_buf is not None:
+                        win = win_buf[:n]
+                        for ki, kj in kernel_taps:
+                            win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, p)
+                    flat = acc.reshape(n * out_w, c)
+                    for cin, cout, w64 in self.groups:
+                        np.matmul(win[..., cin].reshape(n * out_w, -1), w64, out=flat[:, cout])
+                if b64 is not None:
+                    acc += b64
+                _finish_band(acc, dest(r0, n), self.fn, self.affine, self.relu, check, max(checked - r0, 0))
+                yield r0 + n
+
+        return run()
 
 
 def _fill_rows(dst, src, first: int, h: int, phases, s: int):
@@ -292,16 +437,18 @@ def _fill_rows(dst, src, first: int, h: int, phases, s: int):
     dst[hi - first:] = 0.0
 
 
-def _finish_band(acc, band, fn: str, affine, relu: bool):
+def _finish_band(acc, band, fn: str, affine, relu: bool, check, unchecked: int):
     """Round the float64 accumulator ``acc`` into the float32 output ``band``,
     then apply the epilogue to the band in place, using ``acc`` as the affine's
     float64 scratch. Only the last value before the ReLU, which would turn
-    -inf into 0, is checked, under ``fn``'s name: the affine's result is
-    non-finite wherever ``fn``'s is (inf times a scale is inf or NaN)."""
+    -inf into 0, is checked, with ``check`` under ``fn``'s name, from row
+    ``unchecked`` of the band on: the affine's result is non-finite wherever
+    ``fn``'s is (inf times a scale is inf or NaN)."""
     band[...] = acc
     if affine is not None:
         _affine_band(band, band, *affine, acc)
-    require_finite(band, fn)
+    if unchecked < len(band):
+        check(band[unchecked:], fn)
     if relu:
         np.maximum(band, np.float32(0.0), out=band)
 

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -311,6 +312,15 @@ def test_ade20k_pyramid_1_4_8_16_logits_golden_digest():
     assert ade20k_256_logits_sha256(cfg) == ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256
 
 
+def test_golden_digests_hold_with_every_step_split(split_every_step):
+    # at 256x256 no step reaches the real split floor
+    cfg = replace(ade20k_config(), input_h=256, input_w=256)
+    assert ade20k_256_logits_sha256(cfg) == ADE20K_256_LOGITS_SHA256
+    cfg = apply_variant(cfg, "pyramid", "1,4,8,16")
+    assert ade20k_256_logits_sha256(cfg) == ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256
+    assert split_every_step
+
+
 @pytest.mark.parametrize("axis,token", [
     ("pyramid", "1,4"), ("pyramid", "4,8,16:nogc"),
     ("skips", "0"), ("skips", "8-C,4-C"), ("skips", "8-C,4-S,2-S"),
@@ -397,6 +407,13 @@ def test_benchmark_trace_accounts_for_every_execute_second():
     scoped = tracer.scoped(tracer.self_times())
     assert {name for name, *_ in scoped} >= {"kernels.conv2d_1x1", "tensor.require_finite"}
     assert tracer.check_accounting(scoped, names, {0: clock}) == []
+
+
+def test_split_steps_account_for_every_execute_second(split_every_step):
+    # the worker checks its rows untraced; the calling thread's spans still
+    # sum to the execute clock
+    test_benchmark_trace_accounts_for_every_execute_second()
+    assert split_every_step
 
 
 def conv_affine_graph(rng, relu=False):
@@ -507,6 +524,12 @@ def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     assert sum(int(np.prod(shape)) for shape in calls) == x.size + sum(shapes[n].count for n in producers)
 
 
+def test_split_steps_scan_each_value_for_finiteness_once(rng, monkeypatch, split_every_step):
+    # rows that both halves compute are checked by the top half only
+    test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch)
+    assert split_every_step
+
+
 def test_describe_lines_cover_every_node():
     g = Graph()
     c = g.add_node(conv_spec("c", 3, 4, bias=True, relu=True), (g.source,))
@@ -585,3 +608,42 @@ def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kin
     with pytest.raises(NumericError) as streamed:
         execute(g, store, x, fetch=["b/project"])
     assert str(streamed.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("node,kind,fault", [
+    ("b/expand", "Conv", "bn/scale"),
+    ("b/dw", "DepthwiseConv", "kernel"),
+    ("b/project", "Conv", "bn/scale"),
+])
+def test_execute_overflow_in_a_split_bottleneck_names_its_node(rng, split_every_step, node, kind, fault):
+    # the overflowing rows are in the bottom half, which the worker runs
+    test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kind, fault)
+    assert split_every_step
+
+
+def blas_thread_count():
+    lib = kernels._openblas()
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    pytest.skip("the bundled OpenBLAS exports no thread-count getter")
+
+
+@pytest.mark.parametrize("rows", [slice(0, 2), slice(-2, None)], ids=["top-half-raises", "bottom-half-raises"])
+def test_split_steps_restore_the_blas_thread_count(rng, split_every_step, rows):
+    g, store, x = bneck_graph(rng)
+    set_threads = kernels._openblas().openblas_set_num_threads_local
+    before = set_threads(2)
+    try:
+        execute(g, store, x, fetch=["b/project"])
+        assert blas_thread_count() == 2
+        x[rows] = 1e4
+        store["b/project/bn/scale"] = store["b/project/bn/scale"] * np.float32(1e36)
+        with pytest.raises(NumericError, match=r"^node b/project \(Conv\)"):
+            execute(g, store, x, fetch=["b/project"])
+        assert blas_thread_count() == 2
+    finally:
+        set_threads(before)
+    assert split_every_step

@@ -1,3 +1,9 @@
+import os
+import signal
+import sys
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +15,7 @@ from mosaicseg.selftest import (
 from mosaicseg.tensor import ConvParams
 
 import oracles
+from conftest import can_split
 
 
 def rand_map(rng, h, w, c):
@@ -437,17 +444,27 @@ def test_pool_outputs_stay_in_channel_envelope(rng):
             assert out[:, :, c].max() <= x[:, :, c].max() + 1e-6
 
 
-def test_kernels_safe_across_threads(rng):
-    # pure functions over immutable inputs: concurrent calls agree with serial
+def test_kernels_safe_across_threads(rng, split_halves):
+    # pure functions over immutable inputs: concurrent calls agree with the
+    # whole-array conv. Its rows are wide enough to split, so where steps can
+    # split, each of the 4 callers' 8 calls runs its bottom half on the one
+    # shared worker
     from concurrent.futures import ThreadPoolExecutor
-    x = rand_map(rng, 16, 16, 8)
-    params = ConvParams(3, 3, 1, 1, 2, 8, 8)
+    x = rand_map(rng, 16, 64, 8)
+    params = ConvParams(3, 3, 1, 1, 2, 8, 128)
+    assert 64 * 128 >= kernels._SPLIT_ROW_ELEMS
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    want = kernels.conv2d(x, kern, None, params)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: kernels.conv2d(x, kern, None, params), range(8)))
+    want = oracles.conv_whole(x, kern, None, params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches inside each split
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: kernels.conv2d(x, kern, None, params), range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for got in results:
         assert np.array_equal(got.view(np.int32), want.view(np.int32))
+    assert len(split_halves) == 8 * can_split() and len(set(split_halves)) <= 1
 
 
 def test_kernels_deterministic(rng):
@@ -721,6 +738,79 @@ def test_streamed_convs_check_rows_no_reader_reads(rng):
               stage(rng, pw(512, 4, stride=2), relu=False)]
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="^conv2d produced non-finite"):
         kernels.streamed_convs(x, stages)
+
+
+@pytest.mark.parametrize("case", ["kxk-pointwise", "bottleneck"])
+def test_split_streamed_convs_match_serial(rng, monkeypatch, split_every_step, case):
+    # stride-2 stages whose outputs end in a partial band, so the bottom half
+    # starts each producer mid-map at a band boundary; without the bundled
+    # OpenBLAS, or with one usable core, the step runs serially
+    shape, params = STREAM_CASES[case]
+    x = signed_zero_map(rng, *shape)
+    stages = [stage(rng, p, relu=i < len(params) - 1, bias=i == 0) for i, p in enumerate(params)]
+    got = kernels.streamed_convs(x, stages)
+    assert len(split_every_step) == 1
+    with monkeypatch.context() as one_core:
+        one_core.setattr(kernels.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert same_bits(kernels.streamed_convs(x, stages), got)
+    monkeypatch.setattr(kernels, "_openblas", lambda: None)
+    assert same_bits(kernels.streamed_convs(x, stages), got)
+    assert same_bits(unfused(x, stages), got)
+    assert len(split_every_step) == 1
+
+
+def test_split_overflow_in_the_bottom_half_alone_raises_numeric_error(rng, split_every_step):
+    # the worker runs under the caller's numpy error state: its float32
+    # overflow is a NumericError, not a RuntimeWarning
+    x = rand_map(rng, 40, 24, 8)
+    x[-2:] = 3e38
+    stages = [("conv2d", np.ones((1, 1, 8, 48), np.float32), None, pw(8, 48), None, True),
+              stage(rng, dw(48, stride=2), relu=False)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="^conv2d produced"):
+        kernels.streamed_convs(x, stages)
+    assert len(split_every_step) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels.streamed_convs(x[:30], stages)  # the same stages, without the rows that overflow
+
+
+def test_split_streamed_convs_check_rows_neither_half_reads(rng, split_every_step):
+    # the top half of the 1x1 stride-2 reader reads rows 0 and 2, the bottom
+    # half rows 4 and 6; the top half still computes and checks row 3
+    x = rand_map(rng, 8, 256, 4)
+    x[3] = 3e38
+    assert kernels._band_rows(8, 256 * 512) == 1
+    scale = np.full(512, 1e10, dtype=np.float32)
+    stages = [("conv2d", np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
+              stage(rng, pw(512, 4, stride=2), relu=False)]
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="^conv2d produced non-finite"):
+        kernels.streamed_convs(x, stages)
+    assert len(split_every_step) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_steps_run_in_a_forked_child(rng, split_every_step):
+    # the child has no copy of the parent's worker thread, so it starts its own
+    x = rand_map(rng, 8, 8, 4)
+    kern = rng.standard_normal((1, 1, 4, 8)).astype(np.float32)
+    want = kernels.conv2d(x, kern, None, pw(4, 8))
+    assert len(split_every_step) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forking a process with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if same_bits(kernels.conv2d(x, kern, None, pw(4, 8)), want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split step never finished")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @pytest.mark.parametrize("h,w,oh,ow", corner_cases([
