@@ -8,16 +8,19 @@ under both.
 
 Conv and DepthwiseConv, with taps = kernel_h*kernel_w*in_c/groups (in_c/groups
 is 1 for a depthwise conv):
-    madds = out_h*out_w*out_c*taps, params = taps*out_c
-    (+ out_c with a bias, + 2*out_c with an affine)
+    madds = out_h*out_w*out_c*taps, params = the sizes of the weight entries
+    ``graph.weight_shapes`` lists (taps*out_c, + out_c with a bias, + 2*out_c
+    with an affine)
 """
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .arch import Model, ModelConfig, build_model, parse_int, parse_list, parse_skip
 from .errors import ConfigError, ShapeError
+from .graph import weight_shapes
 # unused here, but perfbench's tracer wraps cost.infer_shapes by name
 from .graph import infer_shapes  # noqa: F401
 from .tensor import TensorShape
@@ -61,15 +64,10 @@ def count_node(spec, in_shapes, out_shape: TensorShape, policy: CostPolicy = DEF
         conv = p["conv"]
         if in_shapes[0].c != conv.in_c:
             raise ShapeError(f"node {spec.name}: shape {in_shapes[0]} inconsistent with {conv}")
-        taps = conv.kernel_h * conv.kernel_w * conv.in_c // conv.groups
-        madds, params = out_shape.count * taps, taps * conv.out_c
-        if p.get("bias", False):
-            params += conv.out_c
-        if p.get("affine", False):
-            params += 2 * conv.out_c
-            if policy.count_non_mac:
-                madds += out_shape.count
-        return madds, params
+        madds = out_shape.count * conv.kernel_h * conv.kernel_w * conv.in_c // conv.groups
+        if policy.count_non_mac and p.get("affine", False):
+            madds += out_shape.count
+        return madds, sum(math.prod(shape) for shape in weight_shapes(spec).values())
     if policy.count_non_mac:
         if kind == "AvgPoolGrid":
             return in_shapes[0].count, 0  # one accumulate per pooled element

@@ -209,14 +209,12 @@ def weight_shapes(spec: NodeSpec) -> dict[str, tuple[int, ...]]:
 
 
 def _conv_stage(spec: NodeSpec, weights) -> tuple:
-    """A conv node's ``kernels.streamed_convs`` stage: its kernel function's
-    name and that function's arguments, ``(fn, kernels, bias, params, affine,
-    relu)``."""
+    """A conv node's ``kernels.streamed_convs`` stage, ``(kernels, bias,
+    params, affine, relu)``."""
     p, name = spec.params, spec.name
-    fn = "conv2d" if spec.kind == "Conv" else "depthwise_conv2d"
     bias = weights[f"{name}/bias"] if p.get("bias", False) else None
     affine = (weights[f"{name}/bn/scale"], weights[f"{name}/bn/bias"]) if p.get("affine", False) else None
-    return fn, weights[f"{name}/kernel"], bias, p["conv"], affine, p.get("relu", False)
+    return weights[f"{name}/kernel"], bias, p["conv"], affine, p.get("relu", False)
 
 
 def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
@@ -224,8 +222,8 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
     if kind == "Input":
         return require_finite(ins[0], "input")
     if kind in ("Conv", "DepthwiseConv"):
-        fn, kern, bias, conv, affine, relu = _conv_stage(spec, weights)
-        if fn == "conv2d":
+        kern, bias, conv, affine, relu = _conv_stage(spec, weights)
+        if kind == "Conv":
             return kernels.conv2d(ins[0], kern, bias, conv, affine, relu)
         return kernels.depthwise_conv2d(ins[0], kern, conv, affine, relu)
     if kind == "AvgPoolGrid":

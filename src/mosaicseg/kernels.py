@@ -7,6 +7,9 @@ and the cost model:
   floor-left / ceil-right.
 * Values are stored float32; reductions (conv, depthwise, pooling, bilinear
   blending) accumulate in float64 and cast once at the end.
+* A convolution is dense (``groups`` 1) or depthwise (``groups == in_c ==
+  out_c``), as its ``ConvParams`` say; it is named ``conv2d`` or
+  ``depthwise_conv2d`` by that kind, whichever function runs it.
 * Convolution (depthwise, pointwise and kxk), bilinear resize and affine work
   over row bands of their output: each band's float64 buffers hold about
   ``_BAND_BYTES``, are reused from band to band, and are rounded straight into
@@ -28,9 +31,10 @@ and the cost model:
   at least ``_SPLIT_ROW_ELEMS`` float32 values and whose output has at least
   2 rows, as two halves of the last conv's output rows: the calling thread
   runs the top half and one persistent worker thread the bottom half, one
-  split at a time, each with one OpenBLAS thread for the call
-  (``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel; the
-  previous count is restored). Each half computes the rows of every earlier
+  split at a time. While a split runs, the process's OpenBLAS runs one
+  thread: ``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel
+  sets the count for the whole process, and the previous count is restored
+  after the worker is done. Each half computes the rows of every earlier
   stage that its rows read, so a few rows per stage are computed twice, by the
   same operations, and checked by the top half only. The bottom half's
   buffers are allocated on the calling thread before the worker starts. The
@@ -111,58 +115,37 @@ def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: Conv
     return padded[top: top + (n - 1) * s + 1: s, p, q: q + out_w]
 
 
-def _conv_args(fn: str, in_c: int, kernels, bias, params: ConvParams):
-    """The checked float32 kernels and bias (or None) of a convolution of an
-    ``in_c``-channel input."""
-    if fn == "depthwise_conv2d" and not params.is_depthwise:
-        raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
-    if in_c != params.in_c:
-        raise ShapeError(f"{fn}: input has {in_c} channels, params expect {params.in_c}")
-    kernels = np.asarray(kernels, dtype=np.float32)
-    if kernels.shape != params.kernel_shape():
-        raise ShapeError(
-            f"{fn}: kernel shape {kernels.shape} does not match expected {params.kernel_shape()}"
-        )
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float32)
-        if bias.shape != (params.out_c,):
-            raise ShapeError(f"{fn}: bias length {bias.shape} != out_c {params.out_c}")
-    return kernels, bias
-
-
 def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.ndarray:
-    """Grouped 2-D convolution with SAME zero padding.
-
-    ``kernels`` has layout (kernel_h, kernel_w, in_c/groups, out_c); group g
-    reads input channels [g*ig, (g+1)*ig) and writes output channels
-    [g*og, (g+1)*og). ``bias`` is a per-output-channel vector or None.
-    ``affine`` and ``relu`` are the optional epilogue (module docstring).
+    """2-D convolution with SAME zero padding and (kernel_h, kernel_w,
+    in_c/groups, out_c) kernels, dense or, as in ``depthwise_conv2d``,
+    depthwise, as ``params`` say. ``bias`` is a per-output-channel vector or
+    None. ``affine`` and ``relu`` are the optional epilogue (module docstring).
     """
-    return streamed_convs(x, [("conv2d", kernels, bias, params, affine, relu)])
+    return streamed_convs(x, [(kernels, bias, params, affine, relu)])
 
 
 def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) -> np.ndarray:
     """Per-channel convolution with (kernel_h, kernel_w, 1, c) kernels; output
     channel i depends only on input channel i. ``affine`` and ``relu`` are the
     optional epilogue (module docstring)."""
-    return streamed_convs(x, [("depthwise_conv2d", kernels, None, params, affine, relu)])
+    if not params.is_depthwise:
+        raise ConfigError("depthwise_conv2d requires groups == in_c == out_c")
+    return streamed_convs(x, [(kernels, None, params, affine, relu)])
 
 
 def streamed_convs(x, stages) -> np.ndarray:
     """The output of a sequence of convolutions, each reading the one before.
-    A stage is ``(fn, kernels, bias, params, affine, relu)``, the arguments of
-    ``conv2d`` (``fn`` "conv2d") or ``depthwise_conv2d``. Every stage but the
-    last writes its bands into a ``_Ring`` that the next stage reads, so only
-    the last stage's output is allocated whole; each stage computes the bands
-    it computes alone, and the result has the bits of calling the stages one
-    after another. Once the last stage is done, the stages before it finish
+    A stage is ``(kernels, bias, params, affine, relu)``, the arguments of
+    ``conv2d``. Every stage but the last writes its bands into a ``_Ring``
+    that the next stage reads, so only the last stage's output is allocated
+    whole; each stage computes the bands it computes alone, and the result
+    has the bits of calling the stages one after another. Once the last stage is done, the stages before it finish
     their remaining bands, last first, so every value is checked. A wide step
     runs as two row halves on two threads (module docstring)."""
     x = as_feature_map(x)
     convs, shape = [], x.shape
-    for fn, kernels, bias, params, affine, relu in stages:
-        kernels, bias = _conv_args(fn, shape[2], kernels, bias, params)
-        convs.append(_Conv(fn, shape, kernels, bias, params, affine, relu))
+    for stage in stages:
+        convs.append(_Conv(shape, *stage))
         shape = convs[-1].out_shape
     out = np.empty(shape, dtype=np.float32)
     blas = _split_blas(convs)
@@ -176,9 +159,9 @@ def streamed_convs(x, stages) -> np.ndarray:
     set_threads = blas.openblas_set_num_threads_local
     worker, one_split = _worker()
     with one_split:
-        prev = set_threads(1)
+        prev = set_threads(1)  # for the whole process, the worker too
         try:
-            job = worker.submit(_exhaust_on_worker, bottom, np.geterr(), set_threads)
+            job = worker.submit(_exhaust_on_worker, bottom, np.geterr())
             try:
                 _exhaust(top)
             finally:
@@ -224,9 +207,16 @@ def _openblas():
 def _split_blas(convs):
     """The OpenBLAS whose thread count a split sets, if the step of ``convs``
     splits: every conv writes rows of at least ``_SPLIT_ROW_ELEMS`` values,
-    the output has at least 2 rows, and 2 cores are usable. Else None."""
+    the output has at least 2 rows, and ``_host_split_blas`` finds one. Else
+    None."""
     if convs[-1].out_shape[0] < 2 or any(c.out_shape[1] * c.out_shape[2] < _SPLIT_ROW_ELEMS for c in convs):
         return None
+    return _host_split_blas()
+
+
+def _host_split_blas():
+    """The OpenBLAS of ``_openblas`` if 2 cores are usable, so that wide
+    steps split on this host; else None."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return _openblas() if cores >= 2 else None
 
@@ -274,15 +264,11 @@ def _exhaust(runs):
             pass
 
 
-def _exhaust_on_worker(runs, err, set_threads):
+def _exhaust_on_worker(runs, err):
     """``_exhaust`` on the worker thread, under the caller's numpy error
-    state ``err`` and with one BLAS thread."""
-    prev = set_threads(1)
-    try:
-        with np.errstate(**err):
-            _exhaust(runs)
-    finally:
-        set_threads(prev)
+    state ``err``."""
+    with np.errstate(**err):
+        _exhaust(runs)
 
 
 class _Ring:
@@ -321,35 +307,43 @@ class _Ring:
 
 
 class _Conv:
-    """A convolution of any kind with its epilogue, set up for one input
-    shape; ``bands`` is the one band loop. Per band: a zero-padded float64
-    copy of the input rows the band reads, in the column phases of ``_tap``,
-    the kind's accumulation into a float64 accumulator, the bias, then
-    ``_finish_band``. A depthwise band is one output row: its first tap's
-    product is written to the accumulator, the other taps are added in
-    (ki, kj) order, then +0.0, so that a sum of only -0.0 products is +0.0 as
-    it is from a zero start. Any other band multiplies its im2col rows, laid
-    out (n, out_w, kernel_h, kernel_w, in_c), by each group's kernels."""
+    """A dense or depthwise convolution with its epilogue, set up for one
+    input shape after checking its arguments; ``bands`` is the one band loop.
+    Per band: a zero-padded float64 copy of the input rows the band reads, in
+    the column phases of ``_tap``, the kind's accumulation into a float64
+    accumulator, the bias, then ``_finish_band``. A depthwise band is one
+    output row: its first tap's product is written to the accumulator, the
+    other taps are added in (ki, kj) order, then +0.0, so that a sum of only
+    -0.0 products is +0.0 as it is from a zero start. A dense band multiplies
+    its im2col rows, laid out (n, out_w, kernel_h, kernel_w, in_c), by the
+    kernels as one (taps, out_c) matrix."""
 
-    def __init__(self, fn, in_shape, kernels, bias, params: ConvParams, affine, relu):
+    def __init__(self, in_shape, kernels, bias, params: ConvParams, affine, relu):
         h, w, in_c = in_shape
+        fn = self.fn = "depthwise_conv2d" if params.is_depthwise else "conv2d"
+        if in_c != params.in_c:
+            raise ShapeError(f"{fn}: input has {in_c} channels, params expect {params.in_c}")
+        kernels = np.asarray(kernels, dtype=np.float32)
+        if kernels.shape != params.kernel_shape():
+            raise ShapeError(
+                f"{fn}: kernel shape {kernels.shape} does not match expected {params.kernel_shape()}"
+            )
+        if bias is not None:
+            bias = np.asarray(bias, dtype=np.float32)
+            if bias.shape != (params.out_c,):
+                raise ShapeError(f"{fn}: bias length {bias.shape} != out_c {params.out_c}")
         kh, kw, s, d = params.kernel_h, params.kernel_w, params.stride, params.dilation
         out_h, self.pad_t, _ = same_pad(h, kh, s, d)
         out_w, pad_l, pad_r = same_pad(w, kw, s, d)
         c = params.out_c
-        self.fn, self.params, self.h, self.relu = fn, params, h, relu
+        self.params, self.h, self.relu = params, h, relu
         self.out_shape = (out_h, out_w, c)
         self.affine = None if affine is None else _affine_args(c, *affine)
-        self.k64, self.groups = None, ()
         if params.is_depthwise:
             self.k64 = kernels[:, :, 0, :].astype(np.float64)
             self.step = 1
         else:
-            # per group: its input channels, output channels and float64 kernels
-            ig, og = in_c // params.groups, c // params.groups
-            self.groups = [(slice(g * ig, (g + 1) * ig), slice(g * og, (g + 1) * og),
-                            kernels[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(-1, og))
-                           for g in range(params.groups)]
+            self.k64 = kernels.astype(np.float64).reshape(-1, c)
             self.step = _band_rows(out_h, out_w * max(kh * kw * in_c, c))
         self.b64 = None if bias is None else bias.astype(np.float64)
         self.span = (kh - 1) * d + 1
@@ -413,9 +407,7 @@ class _Conv:
                         win = win_buf[:n]
                         for ki, kj in kernel_taps:
                             win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, p)
-                    flat = acc.reshape(n * out_w, c)
-                    for cin, cout, w64 in self.groups:
-                        np.matmul(win[..., cin].reshape(n * out_w, -1), w64, out=flat[:, cout])
+                    np.matmul(win.reshape(n * out_w, -1), k64, out=acc.reshape(n * out_w, c))
                 if b64 is not None:
                     acc += b64
                 _finish_band(acc, dest(r0, n), self.fn, self.affine, self.relu, check, max(checked - r0, 0))

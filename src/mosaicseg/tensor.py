@@ -34,6 +34,9 @@ class TensorShape:
 
 @dataclass(frozen=True)
 class ConvParams:
+    """A dense (``groups`` 1) or depthwise (``groups == in_c == out_c``)
+    convolution."""
+
     kernel_h: int
     kernel_w: int
     stride: int
@@ -46,9 +49,10 @@ class ConvParams:
         for field in ("kernel_h", "kernel_w", "stride", "dilation", "groups", "in_c", "out_c"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"ConvParams.{field} must be positive, got {getattr(self, field)}")
-        if self.in_c % self.groups != 0 or self.out_c % self.groups != 0:
+        if self.groups != 1 and not self.is_depthwise:
             raise ConfigError(
-                f"groups={self.groups} must divide in_c={self.in_c} and out_c={self.out_c}"
+                f"groups={self.groups} must be 1 (dense) or equal in_c={self.in_c} "
+                f"and out_c={self.out_c} (depthwise)"
             )
 
     @property

@@ -1,4 +1,3 @@
-import os
 import sys
 import threading
 from pathlib import Path
@@ -17,10 +16,9 @@ def rng():
 
 
 def can_split() -> bool:
-    """Whether a wide streamed step runs as two row halves here: numpy's
-    bundled OpenBLAS and a second usable core are needed."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return kernels._openblas() is not None and cores >= 2
+    """Whether a wide streamed step runs as two row halves here, by the
+    kernels' own rule."""
+    return kernels._host_split_blas() is not None
 
 
 @pytest.fixture

@@ -21,32 +21,22 @@ def _pad_whole(x, params: ConvParams):
 
 
 def conv_whole(x, kern, bias, params: ConvParams):
-    """Grouped conv (not depthwise): one float64 GEMM per group over the
-    whole map, plus bias, rounded once to float32."""
+    """Dense conv: one float64 GEMM over the whole map, plus bias, rounded
+    once to float32."""
     x = np.asarray(x, dtype=np.float32)
     kern = np.asarray(kern, dtype=np.float32)
-    ig = params.in_c // params.groups
-    og = params.out_c // params.groups
     if params.kernel_h == params.kernel_w == 1:
         sub = x[:: params.stride, :: params.stride, :].astype(np.float64)
         out_h, out_w, _ = sub.shape
-        flat = sub.reshape(out_h * out_w, params.in_c)
-        out = np.empty((out_h * out_w, params.out_c), dtype=np.float64)
-        for g in range(params.groups):
-            w = kern[0, 0, :, g * og:(g + 1) * og].astype(np.float64)
-            out[:, g * og:(g + 1) * og] = flat[:, g * ig:(g + 1) * ig] @ w
+        out = sub.reshape(out_h * out_w, params.in_c) @ kern[0, 0].astype(np.float64)
     else:
         padded, out_h, out_w = _pad_whole(x, params)
         s, d = params.stride, params.dilation
         rows = np.arange(out_h)[:, None] * s + np.arange(params.kernel_h)[None, :] * d
         cols = np.arange(out_w)[:, None] * s + np.arange(params.kernel_w)[None, :] * d
         win = padded.astype(np.float64)[rows][:, :, cols].transpose(0, 2, 1, 3, 4)
-        taps = params.kernel_h * params.kernel_w * ig
-        out = np.empty((out_h * out_w, params.out_c), dtype=np.float64)
-        for g in range(params.groups):
-            block = win[:, :, :, :, g * ig:(g + 1) * ig].reshape(out_h * out_w, taps)
-            w = kern[:, :, :, g * og:(g + 1) * og].astype(np.float64).reshape(taps, og)
-            out[:, g * og:(g + 1) * og] = block @ w
+        taps = params.kernel_h * params.kernel_w * params.in_c
+        out = win.reshape(out_h * out_w, taps) @ kern.astype(np.float64).reshape(taps, params.out_c)
     out = out.reshape(out_h, out_w, params.out_c)
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float32).astype(np.float64)

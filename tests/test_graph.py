@@ -36,9 +36,9 @@ def pool_spec(name):
     return NodeSpec(name, "AvgPoolGrid", {"grid_h": 1, "grid_w": 1})
 
 
-def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, groups=1, bias=False, affine=False, relu=False):
+def conv_spec(name, in_c, out_c, k=3, stride=1, dilation=1, bias=False, affine=False, relu=False):
     return NodeSpec(name, "Conv", {
-        "conv": ConvParams(k, k, stride, dilation, groups, in_c, out_c),
+        "conv": ConvParams(k, k, stride, dilation, 1, in_c, out_c),
         "bias": bias, "affine": affine, "relu": relu,
     })
 
@@ -58,8 +58,8 @@ def test_every_node_kind_has_a_builder():
 
 
 def test_weight_shapes_in_store_order():
-    assert list(weight_shapes(conv_spec("c", 4, 6, groups=2, bias=True)).items()) == [
-        ("kernel", (3, 3, 2, 6)), ("bias", (6,)),
+    assert list(weight_shapes(conv_spec("c", 4, 6, k=1, bias=True)).items()) == [
+        ("kernel", (1, 1, 4, 6)), ("bias", (6,)),
     ]
     assert weight_shapes(conv_spec("c", 4, 6, relu=True)) == {"kernel": (3, 3, 4, 6)}
     # the affine's entries follow the conv's, which keeps the entry order of

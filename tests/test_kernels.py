@@ -40,34 +40,6 @@ def test_conv_identity_1x1():
     assert np.array_equal(out, x)
 
 
-def test_conv_grouped_equals_block_masked_dense(rng):
-    x = rand_map(rng, 4, 4, 8)
-    params = ConvParams(3, 3, 1, 1, 2, 8, 8)
-    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    grouped = kernels.conv2d(x, kern, None, params)
-    dense_kern = np.zeros((3, 3, 8, 8), dtype=np.float32)
-    dense_kern[:, :, :4, :4] = kern[:, :, :, :4]
-    dense_kern[:, :, 4:, 4:] = kern[:, :, :, 4:]
-    dense = kernels.conv2d(x, dense_kern, None, ConvParams(3, 3, 1, 1, 1, 8, 8))
-    assert np.allclose(grouped, dense, rtol=1e-5, atol=1e-6)
-
-
-@pytest.mark.parametrize("groups", [1, 2, 4])
-def test_conv_group_equivalence_property(rng, groups):
-    # grouped conv == dense conv with kernel zeroed outside diagonal blocks
-    in_c = out_c = 8
-    params = ConvParams(3, 3, 1, 1, groups, in_c, out_c)
-    x = rand_map(rng, 6, 5, in_c)
-    kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    ig, og = in_c // groups, out_c // groups
-    dense_kern = np.zeros((3, 3, in_c, out_c), dtype=np.float32)
-    for g in range(groups):
-        dense_kern[:, :, g * ig:(g + 1) * ig, g * og:(g + 1) * og] = kern[:, :, :, g * og:(g + 1) * og]
-    got = kernels.conv2d(x, kern, None, params)
-    want = kernels.conv2d(x, dense_kern, None, ConvParams(3, 3, 1, 1, 1, in_c, out_c))
-    assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
-
-
 def test_conv_matches_loop_oracle_random_specs(rng):
     for _ in range(25):
         h, w, params = random_conv_spec(rng)
@@ -86,9 +58,19 @@ def test_conv_channel_mismatch():
         kernels.conv2d(x, np.zeros(params.kernel_shape(), dtype=np.float32), None, params)
 
 
-def test_conv_groups_must_divide():
-    with pytest.raises(ConfigError):
-        ConvParams(3, 3, 1, 1, 3, 8, 8)
+def test_conv_is_dense_or_depthwise():
+    # neither a grouped conv nor a depthwise conv with a depth multiplier
+    for args in [(3, 3, 1, 1, 2, 8, 8), (3, 3, 1, 1, 4, 4, 8)]:
+        with pytest.raises(ConfigError, match=r"must be 1 \(dense\) or equal in_c"):
+            ConvParams(*args)
+
+
+def test_conv2d_on_depthwise_params_is_named_depthwise_conv2d():
+    params = ConvParams(3, 3, 1, 1, 4, 4, 4)
+    kern = np.ones(params.kernel_shape(), dtype=np.float32)
+    kern[1, 1, 0, 2] = np.inf
+    with pytest.raises(NumericError, match="^depthwise_conv2d produced non-finite values$"):
+        kernels.conv2d(np.ones((5, 5, 4), dtype=np.float32), kern, None, params)
 
 
 def test_conv_rejects_non_finite():
@@ -99,7 +81,7 @@ def test_conv_rejects_non_finite():
 
 
 @pytest.mark.parametrize("params", [
-    ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 2, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
+    ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 1, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
 ], ids=["pointwise", "kxk", "depthwise"])
 def test_conv_affine_overflow_raises_before_relu(params):
     # the positive conv output times -3e38 is -inf in float32, which the ReLU
@@ -116,7 +98,7 @@ def test_conv_affine_overflow_raises_before_relu(params):
 
 
 @pytest.mark.parametrize("params", [
-    ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 2, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
+    ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 2, 1, 1, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4),
 ], ids=["pointwise", "kxk", "depthwise"])
 @pytest.mark.parametrize("scale", [1.0, 0.0])
 def test_conv_overflow_with_affine_is_reported_by_the_conv(params, scale):
@@ -203,6 +185,12 @@ def test_depthwise_wrong_kernel_count():
     x = np.zeros((4, 4, 3), dtype=np.float32)
     with pytest.raises(ShapeError):
         kernels.depthwise_conv2d(x, np.zeros((3, 3, 1, 2), dtype=np.float32), ConvParams(3, 3, 1, 1, 3, 3, 3))
+
+
+def test_depthwise_rejects_dense_params():
+    params = ConvParams(3, 3, 1, 1, 1, 3, 3)
+    with pytest.raises(ConfigError, match="^depthwise_conv2d requires groups == in_c == out_c$"):
+        kernels.depthwise_conv2d(np.zeros((4, 4, 3), dtype=np.float32), np.zeros(params.kernel_shape(), np.float32), params)
 
 
 def test_depthwise_takes_only_the_store_layout():
@@ -451,7 +439,7 @@ def test_kernels_safe_across_threads(rng, split_halves):
     # shared worker
     from concurrent.futures import ThreadPoolExecutor
     x = rand_map(rng, 16, 64, 8)
-    params = ConvParams(3, 3, 1, 1, 2, 8, 128)
+    params = ConvParams(3, 3, 1, 1, 1, 8, 128)
     assert 64 * 128 >= kernels._SPLIT_ROW_ELEMS
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     want = oracles.conv_whole(x, kern, None, params)
@@ -469,7 +457,7 @@ def test_kernels_safe_across_threads(rng, split_halves):
 
 def test_kernels_deterministic(rng):
     x = rand_map(rng, 12, 10, 6)
-    params = ConvParams(3, 3, 2, 1, 2, 6, 4)
+    params = ConvParams(3, 3, 2, 1, 1, 6, 4)
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     a = kernels.conv2d(x, kern, None, params)
     b = kernels.conv2d(x, kern, None, params)
@@ -562,10 +550,14 @@ def test_depthwise_sum_of_negative_zeros_is_positive_zero(rng):
     assert not got.view(np.uint32).any()
 
 
-@pytest.mark.parametrize("groups,stride,with_bias", [(1, 1, True), (2, 2, True), (4, 1, False), (4, 2, True)])
-def test_pointwise_bands_match_whole_array(rng, groups, stride, with_bias):
-    x = signed_zero_map(rng, 100 * stride, 64 * stride, 48)
-    params = ConvParams(1, 1, stride, 1, groups, 48, 96)
+# In the pointwise and kxk cases the first parameter, ``slices``, divides the
+# conv's input channels (48 pointwise, 16 kxk), as a multi-kernel group conv
+# divides its input among its branches.
+
+@pytest.mark.parametrize("slices,stride,with_bias", [(1, 1, True), (2, 2, True), (4, 1, False), (4, 2, True)])
+def test_pointwise_bands_match_whole_array(rng, slices, stride, with_bias):
+    x = signed_zero_map(rng, 100 * stride, 64 * stride, 48 // slices)
+    params = ConvParams(1, 1, stride, 1, 1, 48 // slices, 96)
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     bias = rng.standard_normal(96).astype(np.float32) if with_bias else None
     assert_spans_bands(100, 64 * 96)
@@ -575,17 +567,18 @@ def test_pointwise_bands_match_whole_array(rng, groups, stride, with_bias):
     assert same_bits(x, before)
 
 
-@pytest.mark.parametrize("groups,stride,kernel,dilation,odd_width", [
-    pytest.param(g, s, k, d, odd, id=f"{g}-{s}" + f"-k{k}" * (k != 3) + f"-d{d}" * (d != 1) + "-odd" * odd)
-    for g, s, k, d in [(1, 2, 3, 1), (2, 1, 3, 1), (1, 2, 5, 1), (1, 2, 3, 2), (2, 2, 5, 2)]
+@pytest.mark.parametrize("slices,stride,kernel,dilation,odd_width", [
+    pytest.param(n, s, k, d, odd, id=f"{n}-{s}" + f"-k{k}" * (k != 3) + f"-d{d}" * (d != 1) + "-odd" * odd)
+    for n, s, k, d in [(1, 2, 3, 1), (2, 1, 3, 1), (1, 2, 5, 1), (1, 2, 3, 2), (2, 2, 5, 2)]
     for odd in (False, True)
 ])
-def test_kxk_conv_bands_match_whole_array(rng, groups, stride, kernel, dilation, odd_width):
-    x = signed_zero_map(rng, 101 * stride, 64 * stride + odd_width, 8)
-    params = ConvParams(kernel, kernel, stride, dilation, groups, 8, 16)
+def test_kxk_conv_bands_match_whole_array(rng, slices, stride, kernel, dilation, odd_width):
+    in_c = 16 // slices
+    x = signed_zero_map(rng, 101 * stride, 64 * stride + odd_width, in_c)
+    params = ConvParams(kernel, kernel, stride, dilation, 1, in_c, 16)
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     bias = rng.standard_normal(16).astype(np.float32)
-    assert_spans_bands(101, (64 + odd_width) * kernel * kernel * 8)
+    assert_spans_bands(101, (64 + odd_width) * kernel * kernel * in_c)
     before = x.copy()
     got = kernels.conv2d(x, kern, bias, params)
     assert same_bits(got, oracles.conv_whole(x, kern, bias, params))
@@ -619,7 +612,7 @@ def test_affine_bands_match_whole_array(rng):
 # (input shape, params) per conv path; every output spans at least three bands
 EPILOGUE_CASES = {
     "pointwise": ((100, 64, 48), ConvParams(1, 1, 1, 1, 1, 48, 96)),
-    "kxk": ((200, 128, 8), ConvParams(3, 3, 2, 1, 2, 8, 16)),
+    "kxk": ((200, 128, 8), ConvParams(3, 3, 2, 1, 1, 8, 16)),
     "depthwise_s1": ((100, 64, 96), ConvParams(3, 3, 1, 1, 96, 96, 96)),
     "depthwise_s2": ((200, 128, 96), ConvParams(3, 3, 2, 1, 96, 96, 96)),
 }
@@ -658,22 +651,21 @@ def test_conv_epilogue_bands_match_unfused_kernels(rng, case, with_relu):
 
 def stage(rng, params, relu=True, bias=False):
     """A ``streamed_convs`` stage with random weights and signed zeros."""
-    fn = "depthwise_conv2d" if params.is_depthwise else "conv2d"
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     kern[rng.random(kern.shape) < 0.2] = -0.0
     conv_bias = None
-    if bias and fn == "conv2d":
+    if bias and not params.is_depthwise:
         conv_bias = rng.standard_normal(params.out_c).astype(np.float32)
     scale = rng.standard_normal(params.out_c).astype(np.float32)
     scale[::7] = -0.0
     shift = rng.standard_normal(params.out_c).astype(np.float32)
     shift[::5] = 0.0
-    return (fn, kern, conv_bias, params, (scale, shift), relu)
+    return (kern, conv_bias, params, (scale, shift), relu)
 
 
 def unfused(x, stages):
-    for fn, kern, bias, params, affine, relu in stages:
-        if fn == "depthwise_conv2d":
+    for kern, bias, params, affine, relu in stages:
+        if params.is_depthwise:
             x = kernels.depthwise_conv2d(x, kern, params)
         else:
             x = kernels.conv2d(x, kern, bias, params)
@@ -696,8 +688,8 @@ STREAM_CASES = {
     "pointwise-depthwise_s1": ((100, 64, 24), [pw(24, 96), dw(96)]),
     "pointwise-depthwise_s2": ((101, 65, 24), [pw(24, 96), dw(96, stride=2)]),
     "depthwise_5x5_d2-pointwise": ((100, 64, 96), [dw(96, 5, 1, 2), pw(96, 48)]),
-    "kxk-pointwise": ((200, 129, 8), [ConvParams(3, 3, 2, 1, 2, 8, 16), pw(16, 64)]),
-    "pointwise-kxk": ((100, 64, 8), [pw(8, 96), ConvParams(3, 3, 2, 1, 2, 96, 16)]),
+    "kxk-pointwise": ((200, 129, 8), [ConvParams(3, 3, 2, 1, 1, 8, 16), pw(16, 64)]),
+    "pointwise-kxk": ((100, 64, 8), [pw(8, 96), ConvParams(3, 3, 2, 1, 1, 96, 16)]),
     "bottleneck": ((101, 128, 24), [pw(24, 96), dw(96, stride=2), pw(96, 40)]),
 }
 
@@ -734,7 +726,7 @@ def test_streamed_convs_check_rows_no_reader_reads(rng):
     x[7] = 3e38
     assert kernels._band_rows(8, 256 * 512) == 1
     scale = np.full(512, 1e10, dtype=np.float32)
-    stages = [("conv2d", np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
+    stages = [(np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
               stage(rng, pw(512, 4, stride=2), relu=False)]
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="^conv2d produced non-finite"):
         kernels.streamed_convs(x, stages)
@@ -764,7 +756,7 @@ def test_split_overflow_in_the_bottom_half_alone_raises_numeric_error(rng, split
     # overflow is a NumericError, not a RuntimeWarning
     x = rand_map(rng, 40, 24, 8)
     x[-2:] = 3e38
-    stages = [("conv2d", np.ones((1, 1, 8, 48), np.float32), None, pw(8, 48), None, True),
+    stages = [(np.ones((1, 1, 8, 48), np.float32), None, pw(8, 48), None, True),
               stage(rng, dw(48, stride=2), relu=False)]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="^conv2d produced"):
         kernels.streamed_convs(x, stages)
@@ -780,7 +772,7 @@ def test_split_streamed_convs_check_rows_neither_half_reads(rng, split_every_ste
     x[3] = 3e38
     assert kernels._band_rows(8, 256 * 512) == 1
     scale = np.full(512, 1e10, dtype=np.float32)
-    stages = [("conv2d", np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
+    stages = [(np.ones((1, 1, 4, 512), np.float32), None, pw(4, 512), (scale, scale), False),
               stage(rng, pw(512, 4, stride=2), relu=False)]
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="^conv2d produced non-finite"):
         kernels.streamed_convs(x, stages)
