@@ -4,8 +4,8 @@ Nodes are appended via :func:`add_node` and may only reference nodes that
 already exist, so the insertion order is topological; ``topo_order`` returns
 it and still rejects a graph whose inputs were edited into a cycle behind the
 API. Every node kind runs one kernel of :mod:`mosaicseg.kernels`, except the
-``Input`` kind for the designated source and a zero-cost ``Slice`` kind for
-channel-range views (needed to lower grouped multi-kernel convolutions).
+``Input`` kind for the designated source and a ``Slice`` kind that copies a
+channel range (zero madds; it lowers grouped multi-kernel convolutions).
 ``argmax_channels`` is a kernel but no kind: callers apply it to the fetched
 logits.
 

@@ -27,24 +27,23 @@ and the cost model:
   c), with padded column j at [:, j % stride, j // stride], so every kernel
   tap, and every im2col copy, reads one contiguous run per row even at
   stride 2. At stride 1 there is one phase, the plain padded rows.
-* ``streamed_convs`` runs a wide step, one in which every conv writes rows of
-  at least ``_SPLIT_ROW_ELEMS`` float32 values and whose output has at least
-  2 rows, as two halves of the last conv's output rows: the calling thread
-  runs the top half and one persistent worker thread the bottom half, one
-  split at a time. While a split runs, the process's OpenBLAS runs one
-  thread: ``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel
-  sets the count for the whole process, and the previous count is restored
-  after the worker is done. Each half computes the rows of every earlier
-  stage that its rows read, so a few rows per stage are computed twice, by the
-  same operations, and checked by the top half only. The bottom half's
-  buffers are allocated on the calling thread before the worker starts. The
-  worker runs under the caller's numpy error state and checks its rows with
+* ``streamed_convs`` runs a step whose output has at least 2 rows as two
+  halves of the last conv's output rows: the calling thread runs the top half
+  and one persistent worker thread the bottom half, one split at a time. While
+  a split runs, the process's OpenBLAS runs one thread:
+  ``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel sets the
+  count for the whole process, and the previous count is restored after the
+  worker is done. Each half computes the rows of every earlier stage that its
+  rows read, so a few rows per stage are computed twice, by the same
+  operations, and checked by the top half only. The bottom half's buffers are
+  allocated on the calling thread before the worker starts. The worker runs
+  under the caller's numpy error state and checks its rows with
   ``tensor.require_finite``: perfbench's tracer wraps
   ``kernels.require_finite`` and ``kernels.as_feature_map`` with one span
   stack. The call waits for the worker, and an exception of the calling
-  thread's half takes precedence over one of the worker's. Below the floor,
-  without that OpenBLAS symbol, or with fewer than 2 usable cores, a step
-  runs serially, through the same code over the full range.
+  thread's half takes precedence over one of the worker's. With 1 output row,
+  without that OpenBLAS symbol, or with fewer than 2 usable cores, a step runs
+  serially, through the same code over the full range.
 * ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32, widened again for the affine,
@@ -82,13 +81,6 @@ from .tensor import ConvParams, as_feature_map, require_finite
 
 # float64 bytes per band buffer: small enough to stay in cache
 _BAND_BYTES = 1 << 20
-# A streamed step runs as two row halves only if every conv in it writes rows
-# of at least this many float32 values (out_w * c). Measured on 2 cores: the
-# ADE20K groups, whose rows hold at most 5,120 values, ran 10-40% slower split
-# (0.56 s serial against 0.68 s, summed over steps), as their numpy calls take
-# about 10 us and GIL hand-offs dominate; the Cityscapes backbone groups, with
-# rows of at least 12,288 values, ran 30-50% faster (bneck02: 1105 -> 655 ms).
-_SPLIT_ROW_ELEMS = 8192
 
 
 def _band_rows(n_rows: int, row_elems: int) -> int:
@@ -139,16 +131,17 @@ def streamed_convs(x, stages) -> np.ndarray:
     ``conv2d``. Every stage but the last writes its bands into a ``_Ring``
     that the next stage reads, so only the last stage's output is allocated
     whole; each stage computes the bands it computes alone, and the result
-    has the bits of calling the stages one after another. Once the last stage is done, the stages before it finish
-    their remaining bands, last first, so every value is checked. A wide step
-    runs as two row halves on two threads (module docstring)."""
+    has the bits of calling the stages one after another. Once the last
+    stage is done, the stages before it finish their remaining bands, last
+    first, so every value is checked. A step of 2 output rows or more runs
+    as two row halves on two threads (module docstring)."""
     x = as_feature_map(x)
     convs, shape = [], x.shape
     for stage in stages:
         convs.append(_Conv(shape, *stage))
         shape = convs[-1].out_shape
     out = np.empty(shape, dtype=np.float32)
-    blas = _split_blas(convs)
+    blas = _host_split_blas() if shape[0] >= 2 else None
     if blas is None:
         _exhaust(_runs(x, convs, out, [(0, conv.out_shape[0], 0) for conv in convs], require_finite))
         return out
@@ -204,19 +197,10 @@ def _openblas():
     return None
 
 
-def _split_blas(convs):
-    """The OpenBLAS whose thread count a split sets, if the step of ``convs``
-    splits: every conv writes rows of at least ``_SPLIT_ROW_ELEMS`` values,
-    the output has at least 2 rows, and ``_host_split_blas`` finds one. Else
-    None."""
-    if convs[-1].out_shape[0] < 2 or any(c.out_shape[1] * c.out_shape[2] < _SPLIT_ROW_ELEMS for c in convs):
-        return None
-    return _host_split_blas()
-
-
 def _host_split_blas():
-    """The OpenBLAS of ``_openblas`` if 2 cores are usable, so that wide
-    steps split on this host; else None."""
+    """The OpenBLAS of ``_openblas``, whose thread count a split sets, if 2
+    cores are usable, so that steps of 2 rows or more split on this host;
+    else None."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return _openblas() if cores >= 2 else None
 

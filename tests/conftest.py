@@ -16,8 +16,8 @@ def rng():
 
 
 def can_split() -> bool:
-    """Whether a wide streamed step runs as two row halves here, by the
-    kernels' own rule."""
+    """Whether a streamed step of 2 output rows or more runs as two row
+    halves here, by the kernels' own rule."""
     return kernels._host_split_blas() is not None
 
 
@@ -36,10 +36,16 @@ def split_halves(monkeypatch):
 
 
 @pytest.fixture
-def split_every_step(monkeypatch, split_halves):
-    """Splits every streamed step of at least 2 output rows, however narrow,
-    and returns ``split_halves``; skips where no step can split."""
+def split_every_step(split_halves):
+    """Returns ``split_halves``; skips where steps run serially."""
     if not can_split():
         pytest.skip("steps run serially without numpy's bundled OpenBLAS and a second core")
-    monkeypatch.setattr(kernels, "_SPLIT_ROW_ELEMS", 0)
+    return split_halves
+
+
+@pytest.fixture
+def serial(monkeypatch, split_halves):
+    """Runs every step serially, as on a host where no step can split, and
+    returns ``split_halves``, which stays empty."""
+    monkeypatch.setattr(kernels, "_host_split_blas", lambda: None)
     return split_halves

