@@ -36,8 +36,10 @@ and the cost model:
   worker is done. Each half computes the rows of every earlier stage that its
   rows read, so a few rows per stage are computed twice, by the same
   operations, and checked by the top half only. The bottom half's buffers are
-  allocated on the calling thread before the worker starts. The worker runs
-  under the caller's numpy error state and checks its rows with
+  allocated on the calling thread before the worker starts and freed there
+  after it is done, so that where glibc places the calling thread's
+  allocations does not vary with the moments at which the worker frees. The
+  worker runs under the caller's numpy error state and checks its rows with
   ``tensor.require_finite``: perfbench's tracer wraps
   ``kernels.require_finite`` and ``kernels.as_feature_map`` with one span
   stack. The call waits for the worker, and an exception of the calling
@@ -128,13 +130,14 @@ def depthwise_conv2d(x, kernels, params: ConvParams, affine=None, relu=False) ->
 def streamed_convs(x, stages) -> np.ndarray:
     """The output of a sequence of convolutions, each reading the one before.
     A stage is ``(kernels, bias, params, affine, relu)``, the arguments of
-    ``conv2d``. Every stage but the last writes its bands into a ``_Ring``
-    that the next stage reads, so only the last stage's output is allocated
-    whole; each stage computes the bands it computes alone, and the result
-    has the bits of calling the stages one after another. Once the last
-    stage is done, the stages before it finish their remaining bands, last
-    first, so every value is checked. A step of 2 output rows or more runs
-    as two row halves on two threads (module docstring)."""
+    ``conv2d``. Each stage writes its bands into a ``_Ring``: every stage
+    but the last into a few rows that the next stage reads, the last into the
+    output, so only the last stage's output is allocated whole; each stage
+    computes the bands it computes alone, and the result has the bits of
+    calling the stages one after another. Once the last stage is done, the
+    stages before it finish their remaining bands, last first, so every
+    value is checked. A step of 2 output rows or more runs as two row halves
+    on two threads (module docstring)."""
     x = as_feature_map(x)
     convs, shape = [], x.shape
     for stage in stages:
@@ -159,7 +162,7 @@ def streamed_convs(x, stages) -> np.ndarray:
                 _exhaust(top)
             finally:
                 job.exception()  # waits for the worker, raising nothing
-                bottom.clear()  # so its buffers are freed here, not when the worker drops the job
+                bottom.clear()  # frees its buffers here, on the calling thread
             job.result()
         finally:
             set_threads(prev)
@@ -226,57 +229,64 @@ def _halves(convs):
 
 
 def _runs(x, convs, out, ranges, check):
-    """The band generators that compute rows ``ranges[i]``, (lo, hi,
-    checked), of each ``convs[i]`` from the input ``x`` into ``out``, in the
-    order ``_exhaust`` runs them: the last stage's, then each ring's remaining
-    bands, last first. Every buffer is allocated here, on the calling
-    thread."""
+    """The ``_Ring`` of each ``convs[i]`` that computes its rows
+    ``ranges[i]``, (lo, hi, checked), from the input ``x``, in the order
+    ``_exhaust`` finishes them: the last stage's, whose ring is ``out``, then
+    each earlier stage's, last first. Every buffer is allocated here, on the
+    calling thread."""
     def src(lo, hi):  # the rows of the materialized input
         return ((lo, x[lo:hi]),)
 
     rings = []
-    for conv, reader, rows in zip(convs, convs[1:], ranges):
-        rings.append(_Ring(conv, src, reader.reads, rows, check))
+    for conv, reader, (lo, hi, checked) in zip(convs, convs[1:], ranges):
+        # one reader's widest read plus one band, rounded up to whole bands
+        # so that no band that starts at a multiple of the band height wraps
+        n = conv.step
+        size = min(-(-(reader.reads + n - 1) // n), -(-(hi - lo) // n)) * n
+        buf = np.empty((size, *conv.out_shape[1:]), dtype=np.float32)
+        rings.append(_Ring(conv, src, (lo, hi, checked), check, buf))
         src = rings[-1].rows
-    last = convs[-1].bands(src, lambda r0, n: out[r0:r0 + n], ranges[-1], check)
-    return [last] + [ring.bands for ring in reversed(rings)]
+    rings.append(_Ring(convs[-1], src, ranges[-1], check, out))
+    return rings[::-1]
 
 
-def _exhaust(runs):
-    for run in runs:
-        for _ in run:
-            pass
+def _exhaust(rings):
+    for ring in rings:
+        ring.finish()
 
 
-def _exhaust_on_worker(runs, err):
+def _exhaust_on_worker(rings, err):
     """``_exhaust`` on the worker thread, under the caller's numpy error
     state ``err``."""
     with np.errstate(**err):
-        _exhaust(runs)
+        _exhaust(rings)
 
 
 class _Ring:
     """The output rows lo .. hi - 1 of ``conv``, ``rows`` being (lo, hi,
-    checked), computed band by band as a reader asks for them and held in a
-    ring of float32 rows, row j at j % len(buf): one reader's widest read of
-    ``reads`` rows plus one band, rounded up to whole bands so that no band
-    that starts at a multiple of the band height wraps. The reader asks for
-    rows in increasing order, never below its previous first row."""
+    checked), computed band by band as a reader asks for them or ``finish``
+    completes them, and held in the float32 rows ``buf``, row j at
+    j % len(buf). The reader asks for rows in increasing order, never below
+    its previous first row."""
 
-    def __init__(self, conv, src, reads: int, rows, check):
-        lo, hi, _ = rows
-        n = conv.step
-        size = min(-(-(reads + n - 1) // n), -(-(hi - lo) // n)) * n
-        buf = self.buf = np.empty((size, *conv.out_shape[1:]), dtype=np.float32)
+    def __init__(self, conv, src, rows, check, buf):
+        self.buf, size = buf, len(buf)
 
         def dest(r0: int, n: int) -> np.ndarray:
             return buf[r0 % size:r0 % size + n]
 
-        self.done = lo  # output rows computed so far end here
+        self.done, self.hi = rows[:2]  # output rows computed so far end at done
         # dest holds the buffer and not the ring, so no reference cycle keeps
         # a finished step's buffers for the garbage collector to free at a
         # time that varies with the threads' interleaving
         self.bands = conv.bands(src, dest, rows, check)
+
+    def finish(self):
+        """Compute the remaining bands. The band generator is left at its
+        last band, not run to its end, where it would drop its buffers on
+        the thread that runs it: they are freed with the ring."""
+        while self.done < self.hi:
+            self.done = next(self.bands)
 
     def rows(self, lo: int, hi: int):
         """Rows lo .. hi - 1 as (first row, float32 rows) runs of the ring."""

@@ -3,6 +3,7 @@ import signal
 import sys
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -747,6 +748,28 @@ def test_split_streamed_convs_match_serial(rng, monkeypatch, split_every_step, c
     assert same_bits(kernels.streamed_convs(x, stages), got)
     assert same_bits(unfused(x, stages), got)
     assert len(split_every_step) == 1
+
+
+def test_split_bottom_half_buffers_are_freed_on_the_calling_thread(rng, monkeypatch, split_every_step):
+    # the worker leaves every band generator of its half at its last band, so
+    # none of the buffers that the calling thread allocated for the half is
+    # freed on the worker; the call frees them all before it returns
+    shape, params = STREAM_CASES["bottleneck"]
+    x = signed_zero_map(rng, *shape)
+    stages = [stage(rng, p, relu=i < len(params) - 1) for i, p in enumerate(params)]
+    on_worker, suspended, refs = kernels._exhaust_on_worker, [], []
+
+    def watching(rings, err):
+        on_worker(rings, err)
+        suspended.extend(ring.bands.gi_frame is not None for ring in rings)
+        refs.extend(weakref.ref(ring.bands) for ring in rings)
+        refs.extend(weakref.ref(ring.buf) for ring in rings[1:])  # rings[0] writes the output
+
+    monkeypatch.setattr(kernels, "_exhaust_on_worker", watching)
+    kernels.streamed_convs(x, stages)
+    assert len(split_every_step) == 1
+    assert suspended == [True] * len(params)
+    assert len(refs) == 2 * len(params) - 1 and all(ref() is None for ref in refs)
 
 
 def test_split_overflow_in_the_bottom_half_alone_raises_numeric_error(rng, split_every_step):
