@@ -18,6 +18,8 @@ keys, as :func:`weight_shapes` lists them: ``<name>/kernel``, then
 with ``affine``.
 """
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -330,7 +332,8 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch) -> dict[str, np.ndarray
     returns {name: value} for the node names in ``fetch``.
 
     Runs the steps of :func:`plan`: each streamed group or node is one kernel
-    call, and its values are dropped after their last reader ran. A
+    call, and its values are dropped after their last reader ran; at the
+    end, pages freed inside the C heap go back to the OS. A
     ``NumericError`` names the node that produced the non-finite value (see
     ``_run_step``).
     """
@@ -355,7 +358,29 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch) -> dict[str, np.ndarray
             values[name] = out
             for ref in step.frees:
                 del values[ref]
+    # Freed pages inside the heap stay resident, and how many there are
+    # depends on where the two threads of the split steps placed their
+    # temporaries, which varies from run to run. The free top of the heap
+    # is left as glibc leaves it.
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(_HEAP_TOP_PAD)
     return {name: values[name] for name in fetch}
+
+
+# glibc trims the heap top only beyond its trim threshold, at most 64 MiB
+_HEAP_TOP_PAD = 64 << 20
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None for a C library without it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 def describe_lines(graph: Graph, shapes: dict[str, TensorShape]) -> list[str]:

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mosaicseg import kernels, reference
+from mosaicseg import graph, kernels, reference
 from mosaicseg.arch import ade20k_config, build_bneck, build_model, cityscapes_config
 from mosaicseg.cost import apply_variant
 from mosaicseg.errors import ConfigError, NumericError, ShapeError
@@ -213,6 +214,20 @@ def test_execute_single_relu(rng):
     out = execute(g, store, x, fetch=[r])
     want = kernels.relu(kernels.conv2d(x, store["r/kernel"], None, g.nodes[r].params["conv"]))
     assert np.array_equal(out[r].view(np.uint32), want.view(np.uint32))
+
+
+def test_execute_returns_freed_heap_pages_once(rng, monkeypatch):
+    # glibc's malloc_trim, padded so that the free heap top stays as glibc
+    # leaves it; on glibc the lookup finds it
+    if platform.libc_ver()[0] == "glibc":
+        assert graph._malloc_trim() is not None
+    pads = []
+    monkeypatch.setattr(graph, "_malloc_trim", lambda: pads.append)
+    g = Graph()
+    r = g.add_node(conv_spec("r", 2, 3, relu=True), (g.source,))
+    store = {"r/kernel": rng.standard_normal((3, 3, 2, 3)).astype(np.float32)}
+    execute(g, store, rng.standard_normal((4, 4, 2)).astype(np.float32), fetch=[r])
+    assert pads == [64 << 20]
 
 
 def test_execute_matches_hand_composition(rng):
