@@ -76,6 +76,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor
 from .errors import ConfigError, ShapeError
@@ -97,16 +98,6 @@ def same_pad(size: int, kernel: int, stride: int, dilation: int) -> tuple[int, i
     total = max((out - 1) * stride + effective - size, 0)
     before = total // 2
     return out, before, total - before
-
-
-def _tap(padded: np.ndarray, top: int, n: int, out_w: int, kj: int, params: ConvParams) -> np.ndarray:
-    """The (n, out_w, c) samples that kernel column kj reads for n output rows,
-    the first of which reads padded row ``top``. ``padded`` is laid out by
-    column phase, (rows, stride, ceil(width / stride), c): padded column j sits
-    at [:, j % stride, j // stride], so each row of a tap is one contiguous run."""
-    s = params.stride
-    q, p = divmod(kj * params.dilation, s)
-    return padded[top: top + (n - 1) * s + 1: s, p, q: q + out_w]
 
 
 def conv2d(x, kernels, bias, params: ConvParams, affine=None, relu=False) -> np.ndarray:
@@ -334,7 +325,9 @@ class _Conv:
         self.out_shape = (out_h, out_w, c)
         self.affine = None if affine is None else _affine_args(c, *affine)
         if params.is_depthwise:
-            self.k64 = kernels[:, :, 0, :].astype(np.float64)
+            # a one-channel conv gets a second, zero channel: einsum would sum
+            # a lone channel's taps as its inner loop, in another order
+            self.k64 = np.pad(kernels[:, :, 0, :].astype(np.float64), ((0, 0), (0, 0), (0, c == 1)))
             self.step = 1
         else:
             self.k64 = kernels.astype(np.float64).reshape(-1, c)
@@ -342,15 +335,10 @@ class _Conv:
         self.b64 = None if bias is None else bias.astype(np.float64)
         self.span = (kh - 1) * d + 1
         # input rows a band asks its source for at once; a depthwise band
-        # copies its new rows into its ring one at a time
+        # copies its new rows in one at a time
         self.reads = 1 if params.is_depthwise else (self.step - 1) * s + self.span
-        # input columns x0, x0 + s, ... fill phase p from column q0 on
-        self.phases = []
-        for p in range(s):
-            x0 = (p - pad_l) % s
-            q0 = (pad_l + x0) // s
-            self.phases.append((p, x0, slice(q0, q0 + len(range(x0, w, s)))))
-        self.row_shape = (s, -(-(pad_l + w + pad_r) // s), in_c)
+        self.cols = slice(pad_l, pad_l + w)  # the input's columns in a padded row
+        self.row_shape = (pad_l + w + pad_r, self.k64.shape[-1] if params.is_depthwise else in_c)
 
     def bands(self, src, dest, rows, check):
         """The generator that computes output rows lo .. hi - 1, ``rows``
@@ -362,45 +350,45 @@ class _Conv:
         p = self.params
         kh, kw, s, d = p.kernel_h, p.kernel_w, p.stride, p.dilation
         out_w, c = self.out_shape[1:]
-        h, step, span, phases = self.h, self.step, self.span, self.phases
-        kernel_taps = [(ki, kj) for ki in range(kh) for kj in range(kw)]
+        h, step, span, k64, b64 = self.h, self.step, self.span, self.k64, self.b64
+        # pad columns stay 0; so do top pad rows, which only the first band reads
+        padded = np.zeros(((step - 1) * s + span, *self.row_shape))
+        inner = padded[:, self.cols, :p.in_c]
+        rows_b, cols_b, item = padded.strides
         # a 1x1 stride-1 band is its own im2col block
         im2col = not (p.is_depthwise or kh == kw == s == 1)
-        win_buf = np.empty((step, out_w, kh, kw, self.row_shape[2])) if im2col else None
-        # pad columns stay 0; so do top pad rows, which only the first band
-        # reads. A depthwise conv keeps its span rows as a ring, padded row j
-        # at j % span, so that each input row is copied once and not span / s
-        # times.
-        padded = np.zeros(((step - 1) * s + span, *self.row_shape))
-        acc_buf = np.empty((step, out_w, c))
-        tmp_buf = np.empty((step, out_w, c)) if p.is_depthwise else None
-        k64, b64 = self.k64, self.b64
+        if p.is_depthwise:
+            # the (kernel_h, kernel_w, out_w, c) samples of every tap
+            taps = as_strided(padded, (kh, kw, out_w, self.row_shape[1]),
+                              (rows_b * d, cols_b * d, cols_b * s, item), writeable=False)
+        elif im2col:
+            window = as_strided(padded, (step, out_w, kh, kw, p.in_c),
+                                (rows_b * s, cols_b * s, rows_b * d, cols_b * d, item), writeable=False)
+            win_buf = np.empty(window.shape)
+        acc_buf = np.empty((step, out_w, k64.shape[-1]))
         lo, hi, checked = rows
 
         def run():
-            copied = -self.pad_t  # the first padded row not yet in the ring
             for r0 in range(lo, hi, step):
                 n = min(step, hi - r0)
-                acc = acc_buf[:n]
+                acc = acc_buf[:n, :, :c]
                 first = r0 * s - self.pad_t  # input row of the band's first padded row
                 if p.is_depthwise:
-                    for j in range(max(first, copied), first + span):
-                        _fill_rows(padded[j % span:j % span + 1], src, j, h, phases, s)
-                    copied = first + span
-                    np.multiply(_tap(padded, first % span, 1, out_w, 0, p), k64[0, 0], out=acc)
-                    for ki, kj in kernel_taps[1:]:
-                        tap = _tap(padded, (first + ki * d) % span, 1, out_w, kj, p)
-                        np.multiply(tap, k64[ki, kj], out=tmp_buf)
-                        acc += tmp_buf
-                    acc += 0.0
+                    # move up the rows the last band shared, each once, then
+                    # copy in the new input rows
+                    keep = max(span - s, 0) if r0 > lo else 0
+                    for i in range(keep):
+                        padded[i] = padded[i + s]
+                    for i in range(keep, span):
+                        _fill_rows(inner[i:i + 1], src, first + i, h)
+                    np.einsum("ijxc,ijc->xc", taps, k64, out=acc_buf[0])
                 else:
                     band = padded[:(n - 1) * s + span]
-                    _fill_rows(band, src, first, h, phases, s)
+                    _fill_rows(inner[:len(band)], src, first, h)
                     win = band
-                    if win_buf is not None:
+                    if im2col:
                         win = win_buf[:n]
-                        for ki, kj in kernel_taps:
-                            win[:, :, ki, kj] = _tap(band, ki * d, n, out_w, kj, p)
+                        win[...] = window[:n]
                     np.matmul(win.reshape(n * out_w, -1), k64, out=acc.reshape(n * out_w, c))
                 if b64 is not None:
                     acc += b64
@@ -410,16 +398,15 @@ class _Conv:
         return run()
 
 
-def _fill_rows(dst, src, first: int, h: int, phases, s: int):
+def _fill_rows(dst, src, first: int, h: int):
     """Copy input rows first, first + 1, ... of an ``h``-row map, read through
-    ``src``, into the padded rows ``dst`` by column phase, and zero the rows
+    ``src``, into ``dst``, the input columns of padded rows, and zero the rows
     past the input's last; rows before its first are left as they are, zero."""
     lo = max(first, 0)
     hi = max(min(first + len(dst), h), lo)
     if hi > lo:
         for j, part in src(lo, hi):
-            for p, x0, q in phases:
-                dst[j - first:j - first + len(part), p, q] = part[:, x0::s]
+            dst[j - first:j - first + len(part)] = part
     dst[hi - first:] = 0.0
 
 

@@ -149,7 +149,15 @@ def _check_depthwise_oracle(n_cases=8, seed=12):
         want = conv2d_loops(x, kern, None, params)
         if not _close(got, want):
             return False, f"depthwise mismatch for {params}"
-    return True, f"{n_cases} random cases within 1e-5"
+    # values of +-2^60 cancel, so only a sum of the taps in (ky, kx) order from
+    # 0.0, as the oracle's, has its bits; the kernel's order is numpy einsum's
+    params = ConvParams(5, 5, 1, 1, 1, 1, 1)
+    x = rng.choice(np.float32([2.0 ** 60, -2.0 ** 60, 1.0, -1.0, 0.5]), size=(9, 9, 1))
+    kern = rng.choice(np.float32([1.0, -1.0]), size=(5, 5, 1, 1))
+    got = kernels.depthwise_conv2d(x, kern, params)
+    if not np.array_equal(got.view(np.uint32), conv2d_loops(x, kern, None, params).view(np.uint32)):
+        return False, f"depthwise taps summed out of (ky, kx) order for {params}"
+    return True, f"{n_cases} random cases within 1e-5, 1 cancelling case bit-exact"
 
 
 def _check_pool_oracle(n_cases=6, seed=13):

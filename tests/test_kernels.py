@@ -549,6 +549,22 @@ def test_depthwise_sum_of_negative_zeros_is_positive_zero(rng):
     assert not got.view(np.uint32).any()
 
 
+@pytest.mark.parametrize("path", ["split_every_step", "serial"])
+@pytest.mark.parametrize("c", [1, 2, 3, 8])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_depthwise_adds_taps_in_kernel_order(request, rng, path, c, kernel, stride, dilation):
+    # values of +-2^60 cancel each other, so a sum of the taps in any other
+    # order than (ki, kj) from +0.0 rounds away the small values it keeps
+    halves = request.getfixturevalue(path)
+    params = ConvParams(kernel, kernel, stride, dilation, c, c, c)
+    x = rng.choice(np.float32([2.0 ** 60, -2.0 ** 60, 1.0, -1.0, 0.5]), size=(9, 11, c))
+    kern = rng.choice(np.float32([1.0, -1.0]), size=(kernel, kernel, 1, c))
+    got = kernels.depthwise_conv2d(x, kern, params)
+    assert same_bits(got, oracles.depthwise_whole(x, kern, None, params))
+    assert len(halves) == (path != "serial")
+
+
 # In the pointwise and kxk cases the first parameter, ``slices``, divides the
 # conv's input channels (48 pointwise, 16 kxk), as a multi-kernel group conv
 # divides its input among its branches.
