@@ -15,18 +15,25 @@ and the cost model:
   ``_BAND_BYTES``, are reused from band to band, and are rounded straight into
   the preallocated float32 output. ``streamed_convs`` runs a sequence of
   convolutions, each reading the one before, with every output but the last
-  held only as a ring of the rows its reader still needs. A depthwise band is
-  one output row, whose taps, accumulator and padded input rows stay nearer
-  the cache than a 1 MiB band of a wide map would; its padded rows are a
-  ring, so each input row is copied into it once. Every output element goes
-  through the same IEEE operations, in the same order, as whole-array
-  evaluation, so the results are bit-identical to it. Every conv kind runs
-  through one band loop, which pads per band: it copies the input rows a band
-  reads into a zero-padded float64 buffer, never padding the whole input.
-  That buffer is stored by column phase, (rows, stride, ceil(width / stride),
-  c), with padded column j at [:, j % stride, j // stride], so every kernel
-  tap, and every im2col copy, reads one contiguous run per row even at
-  stride 2. At stride 1 there is one phase, the plain padded rows.
+  held only as a ring of the rows its reader still needs. Every conv kind
+  runs through one band loop, which pads per band: it copies the input rows a
+  band reads into the input columns of a zero-padded float64 buffer, (rows,
+  pad_l + width + pad_r, c), never padding the whole input. A dense band
+  copies its im2col rows from one strided window of that buffer. A depthwise
+  band is one output row, whose padded input rows and accumulator stay nearer
+  the cache than a 1 MiB band of a wide map would. It keeps the padded rows
+  that the next row shares, moved up by the stride, so each input row is
+  copied in once, and sums its taps with one ``np.einsum`` over a strided
+  (kernel_h, kernel_w, out_w, c) window of them. numpy's einsum orders its
+  loops by stride, so the channel axis is the inner loop and each output adds
+  its taps in (ki, kj) order onto a +0.0 start, as whole-array evaluation
+  does; a product of two float32 values is exact in float64, so a fused
+  multiply-add in einsum changes no bit. A one-channel conv gets a second,
+  zero channel: einsum would otherwise sum the lone channel's taps as its
+  inner loop, in another order. ``mosaic selftest`` checks that order on the
+  numpy it runs with. Every output element goes through the same IEEE
+  operations, in the same order, as whole-array evaluation, so the results
+  are bit-identical to it.
 * ``streamed_convs`` runs a step whose output has at least 2 rows as two
   halves of the last conv's output rows: the calling thread runs the top half
   and one persistent worker thread the bottom half, one split at a time. While
@@ -294,14 +301,13 @@ class _Ring:
 class _Conv:
     """A dense or depthwise convolution with its epilogue, set up for one
     input shape after checking its arguments; ``bands`` is the one band loop.
-    Per band: a zero-padded float64 copy of the input rows the band reads, in
-    the column phases of ``_tap``, the kind's accumulation into a float64
-    accumulator, the bias, then ``_finish_band``. A depthwise band is one
-    output row: its first tap's product is written to the accumulator, the
-    other taps are added in (ki, kj) order, then +0.0, so that a sum of only
-    -0.0 products is +0.0 as it is from a zero start. A dense band multiplies
-    its im2col rows, laid out (n, out_w, kernel_h, kernel_w, in_c), by the
-    kernels as one (taps, out_c) matrix."""
+    Per band: a zero-padded float64 copy of the input rows the band reads,
+    the kind's accumulation into a float64 accumulator, the bias, then
+    ``_finish_band``. A depthwise band is one output row, one ``np.einsum``
+    over the window of its taps (module docstring). A dense band multiplies
+    its im2col rows, laid out (n, out_w, kernel_h, kernel_w, in_c) and copied
+    from a window of the padded rows, by the kernels as one (taps, out_c)
+    matrix."""
 
     def __init__(self, in_shape, kernels, bias, params: ConvParams, affine, relu):
         h, w, in_c = in_shape

@@ -472,8 +472,8 @@ def test_kernels_deterministic(rng):
 # hold several rows, and holds signed zeros, so a change of operation order (or
 # of the +0.0 start of the depthwise sum) shows up as a differing bit. At
 # stride 2, an even and an odd width between them give the 3x3, 5x5 and
-# dilated kernels both parities of left pad, so every column phase of a band
-# is filled from the first and from the second input column.
+# dilated kernels both parities of left pad, so the strided windows of a band
+# start on the first and on the second input column.
 
 def same_bits(got, want):
     return (got.dtype == want.dtype and got.shape == want.shape
@@ -530,7 +530,7 @@ def test_depthwise_bands_match_whole_array(rng, kernel, stride, dilation, odd_wi
 @pytest.mark.parametrize("kernel,stride,dilation", [(1, 2, 1), (3, 2, 1), (5, 1, 2), (5, 2, 2)])
 def test_depthwise_short_maps_match_whole_array(rng, kernel, stride, dilation):
     # maps shorter than the kernel's span, and 1x1 kernels at stride 2, which
-    # skip input rows: the ring of padded rows holds pad rows at both ends
+    # skip input rows: the padded rows hold pad rows at both ends
     params = ConvParams(kernel, kernel, stride, dilation, 8, 8, 8)
     kern = rng.standard_normal((kernel, kernel, 1, 8)).astype(np.float32)
     for h in range(1, 8):
