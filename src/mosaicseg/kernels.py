@@ -20,20 +20,17 @@ and the cost model:
   band reads into the input columns of a zero-padded float64 buffer, (rows,
   pad_l + width + pad_r, c), never padding the whole input. A dense band
   copies its im2col rows from one strided window of that buffer. A depthwise
-  band is one output row, whose padded input rows and accumulator stay nearer
-  the cache than a 1 MiB band of a wide map would. It keeps the padded rows
-  that the next row shares, moved up by the stride, so each input row is
+  band is one output row, nearer the cache than a 1 MiB band of a wide map.
+  It moves up the padded rows that the next row shares, so each input row is
   copied in once, and sums its taps with one ``np.einsum`` over a strided
   (kernel_h, kernel_w, out_w, c) window of them. numpy's einsum orders its
-  loops by stride, so the channel axis is the inner loop and each output adds
-  its taps in (ki, kj) order onto a +0.0 start, as whole-array evaluation
-  does; a product of two float32 values is exact in float64, so a fused
-  multiply-add in einsum changes no bit. A one-channel conv gets a second,
-  zero channel: einsum would otherwise sum the lone channel's taps as its
-  inner loop, in another order. ``mosaic selftest`` checks that order on the
-  numpy it runs with. Every output element goes through the same IEEE
-  operations, in the same order, as whole-array evaluation, so the results
-  are bit-identical to it.
+  loops by stride: channels are the inner loop, and each output adds its taps
+  in (ki, kj) order onto +0.0, as whole-array evaluation does (a product of
+  float32 values is exact in float64, so a fused multiply-add changes no
+  bit). A one-channel conv gets a second, zero channel, or einsum would sum
+  the lone channel's taps as its inner loop; ``mosaic selftest`` checks the
+  order. So every output element goes through the same IEEE operations, in
+  the same order, as whole-array evaluation, and has its bits.
 * ``streamed_convs`` runs a step whose output has at least 2 rows as two
   halves of the last conv's output rows: the calling thread runs the top half
   and one persistent worker thread the bottom half, one split at a time. While
