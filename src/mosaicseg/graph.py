@@ -360,16 +360,12 @@ def execute(graph: Graph, weights, x: np.ndarray, fetch) -> dict[str, np.ndarray
                 del values[ref]
     # Freed pages inside the heap stay resident, and how many there are
     # depends on where the two threads of the split steps placed their
-    # temporaries, which varies from run to run. The free top of the heap
-    # is left as glibc leaves it.
+    # temporaries, which varies from run to run. So does the heap's extent,
+    # and with it the free top, which goes back too.
     trim = _malloc_trim()
     if trim is not None:
-        trim(_HEAP_TOP_PAD)
+        trim(0)
     return {name: values[name] for name in fetch}
-
-
-# glibc trims the heap top only beyond its trim threshold, at most 64 MiB
-_HEAP_TOP_PAD = 64 << 20
 
 
 @functools.cache
