@@ -167,10 +167,9 @@ def _conv_unit(graph, inp, name, conv: ConvParams, *, relu=True, affine=True, bi
 
 
 def _depthwise_unit(graph, inp, name, channels, kernel, stride, dilation):
-    """One DepthwiseConv node with its folded affine and ReLU."""
+    """One depthwise Conv node with its folded affine and ReLU."""
     conv = ConvParams(kernel, kernel, stride, dilation, channels, channels, channels)
-    params = {"conv": conv, "affine": True, "relu": True}
-    return graph.add_node(NodeSpec(name, "DepthwiseConv", params), (inp,))
+    return _conv_unit(graph, inp, name, conv)
 
 
 def build_bneck(graph, inp, name, in_c, exp_size, out_c, kernel, stride, dilation=1):

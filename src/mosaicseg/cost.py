@@ -6,7 +6,7 @@ epilogue cost zero. The "include-everything" policy adds one op per produced
 (or reduced) element for those, for sensitivity analysis only; a ReLU is free
 under both.
 
-Conv and DepthwiseConv, with taps = kernel_h*kernel_w*in_c/groups (in_c/groups
+Conv, dense or depthwise, with taps = kernel_h*kernel_w*in_c/groups (in_c/groups
 is 1 for a depthwise conv):
     madds = out_h*out_w*out_c*taps, params = the sizes of the weight entries
     ``graph.weight_shapes`` lists (taps*out_c, + out_c with a bias, + 2*out_c
@@ -60,7 +60,7 @@ class CostReport:
 def count_node(spec, in_shapes, out_shape: TensorShape, policy: CostPolicy = DEFAULT_POLICY):
     """Return (madds, params) for one node given its input/output shapes."""
     kind, p = spec.kind, spec.params
-    if kind in ("Conv", "DepthwiseConv"):
+    if kind == "Conv":
         conv = p["conv"]
         if in_shapes[0].c != conv.in_c:
             raise ShapeError(f"node {spec.name}: shape {in_shapes[0]} inconsistent with {conv}")

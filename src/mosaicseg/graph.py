@@ -9,13 +9,13 @@ channel range (zero madds; it lowers grouped multi-kernel convolutions).
 ``argmax_channels`` is a kernel but no kind: callers apply it to the fetched
 logits.
 
-A Conv or DepthwiseConv node carries its epilogue as boolean params: ``bias``
-(Conv only), ``affine`` (a folded inference-time batch norm) and ``relu``,
-which the conv kernel applies band by band. Its value is the one after the
-epilogue. Conv nodes read their weights from a mapping with role-suffixed
-keys, as :func:`weight_shapes` lists them: ``<name>/kernel``, then
-``<name>/bias`` with ``bias``, then ``<name>/bn/scale`` and ``<name>/bn/bias``
-with ``affine``.
+A Conv node is dense or depthwise, as its ``conv`` ConvParams say, and
+carries its epilogue as boolean params: ``bias`` (dense only), ``affine`` (a
+folded inference-time batch norm) and ``relu``, which the conv kernel applies
+band by band. Its value is the one after the epilogue. Conv nodes read their
+weights from a mapping with role-suffixed keys, as :func:`weight_shapes` lists
+them: ``<name>/kernel``, then ``<name>/bias`` with ``bias``, then
+``<name>/bn/scale`` and ``<name>/bn/bias`` with ``affine``.
 """
 
 import ctypes
@@ -33,7 +33,6 @@ from .tensor import ConvParams, TensorShape, as_feature_map, require_finite, sha
 _ARITY = {
     "Input": 0,
     "Conv": 1,
-    "DepthwiseConv": 1,
     "AvgPoolGrid": 1,
     "BilinearResize": 1,
     "ConcatChannels": (1, None),
@@ -58,17 +57,15 @@ class NodeSpec:
 
 
 def _validate_params(kind, params, name):
-    if kind in ("Conv", "DepthwiseConv"):
+    if kind == "Conv":
         conv = params.get("conv")
-        if kind == "Conv" and not isinstance(conv, ConvParams):
+        if not isinstance(conv, ConvParams):
             raise ConfigError(f"node {name}: Conv requires a 'conv' ConvParams entry")
-        if kind == "DepthwiseConv" and not (isinstance(conv, ConvParams) and conv.is_depthwise):
-            raise ConfigError(f"node {name}: DepthwiseConv requires depthwise ConvParams")
         for flag in _CONV_FLAGS:
             if not isinstance(params.get(flag, False), bool):
-                raise ConfigError(f"node {name}: {kind} flag {flag!r} must be a bool")
-        if kind == "DepthwiseConv" and params.get("bias", False):
-            raise ConfigError(f"node {name}: DepthwiseConv takes no bias")
+                raise ConfigError(f"node {name}: Conv flag {flag!r} must be a bool")
+        if conv.is_depthwise and params.get("bias", False):
+            raise ConfigError(f"node {name}: a depthwise conv takes no bias")
     elif kind == "AvgPoolGrid":
         gh, gw = params.get("grid_h", 0), params.get("grid_w", 0)
         if gh < 1 or gw < 1:
@@ -144,7 +141,7 @@ def topo_order(graph: Graph) -> list[str]:
 
 def _infer_node(spec: NodeSpec, in_shapes: list[TensorShape]) -> TensorShape:
     kind, p = spec.kind, spec.params
-    if kind in ("Conv", "DepthwiseConv"):
+    if kind == "Conv":
         conv: ConvParams = p["conv"]
         s = in_shapes[0]
         if s.c != conv.in_c:
@@ -199,7 +196,7 @@ def infer_shapes(graph: Graph, input_shape: TensorShape) -> dict[str, TensorShap
 
 def weight_shapes(spec: NodeSpec) -> dict[str, tuple[int, ...]]:
     """The node's weight entries as {role: shape}, in store order."""
-    if spec.kind not in ("Conv", "DepthwiseConv"):
+    if spec.kind != "Conv":
         return {}
     p, conv = spec.params, spec.params["conv"]
     shapes = {"kernel": conv.kernel_shape()}
@@ -223,11 +220,8 @@ def _run_node(spec: NodeSpec, ins: list[np.ndarray], weights) -> np.ndarray:
     kind, p = spec.kind, spec.params
     if kind == "Input":
         return require_finite(ins[0], "input")
-    if kind in ("Conv", "DepthwiseConv"):
-        kern, bias, conv, affine, relu = _conv_stage(spec, weights)
-        if kind == "Conv":
-            return kernels.conv2d(ins[0], kern, bias, conv, affine, relu)
-        return kernels.depthwise_conv2d(ins[0], kern, conv, affine, relu)
+    if kind == "Conv":
+        return kernels.conv2d(ins[0], *_conv_stage(spec, weights))
     if kind == "AvgPoolGrid":
         return kernels.avg_pool_grid(ins[0], p["grid_h"], p["grid_w"])
     if kind == "BilinearResize":
@@ -283,7 +277,7 @@ def plan(graph: Graph, shapes: dict[str, TensorShape], fetch) -> list[Step]:
     keep = set(fetch)
     counts = graph.consumers()
     user = {ref: name for name in graph.nodes for ref in graph.inputs[name]}
-    convs = {name for name, spec in graph.nodes.items() if spec.kind in ("Conv", "DepthwiseConv")}
+    convs = {name for name, spec in graph.nodes.items() if spec.kind == "Conv"}
 
     def streams(name):
         return name in convs and name not in keep and counts[name] == 1 and user[name] in convs
@@ -392,7 +386,7 @@ def describe_lines(graph: Graph, shapes: dict[str, TensorShape]) -> list[str]:
 
 def _param_summary(spec: NodeSpec) -> str:
     p = spec.params
-    if spec.kind in ("Conv", "DepthwiseConv"):
+    if spec.kind == "Conv":
         conv: ConvParams = p["conv"]
         parts = (
             f"k={conv.kernel_h}x{conv.kernel_w} s={conv.stride} d={conv.dilation} "

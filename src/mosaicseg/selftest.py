@@ -207,8 +207,7 @@ def _check_cost_oracle(n_cases=30, seed=17):
         x = rng.standard_normal((h, w, params.in_c)).astype(np.float32)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
         _, mults = conv2d_loops(x, kern, None, params, count_mults=True)
-        kind = "DepthwiseConv" if params.is_depthwise else "Conv"
-        spec = NodeSpec("probe", kind, {"conv": params})
+        spec = NodeSpec("probe", "Conv", {"conv": params})
         oh, _, _ = kernels.same_pad(h, params.kernel_h, params.stride, params.dilation)
         ow, _, _ = kernels.same_pad(w, params.kernel_w, params.stride, params.dilation)
         madds, _ = count_node(

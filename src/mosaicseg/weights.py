@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .graph import Graph, weight_shapes
+from .graph import weight_shapes
 
 MAGIC = b"MOSW"
 VERSION = 1
@@ -43,12 +43,12 @@ def require_drawable(n_values: int, what: str) -> None:
         raise ConfigError(f"{what} exceed the addressable bytes")
 
 
-def init_weights(model_or_graph, seed: int) -> dict[str, np.ndarray]:
-    """Seeded Philox initialization for every parameterized node."""
-    graph: Graph = getattr(model_or_graph, "graph", model_or_graph)
+def init_weights(model, seed: int) -> dict[str, np.ndarray]:
+    """Seeded Philox initialization for every parameterized node of ``model``'s
+    graph."""
     rng = seeded_rng(seed)
     store = {}
-    for name, spec in graph.nodes.items():
+    for name, spec in model.graph.nodes.items():
         for role, shape in weight_shapes(spec).items():
             require_drawable(math.prod(shape), f"the values of weight entry '{name}/{role}'")
             if role == "kernel":  # fan-in: every dimension but the output channels

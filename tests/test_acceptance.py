@@ -186,11 +186,10 @@ def test_c4_cost_counter_exact_on_200_specs():
         x = rng.standard_normal((h, w, in_c)).astype(np.float32)
         kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
         _, mults = conv2d_loops(x, kern, None, params, count_mults=True)
-        kind = "DepthwiseConv" if params.is_depthwise else "Conv"
         oh, _, _ = kernels.same_pad(h, kernel, stride, dilation)
         ow, _, _ = kernels.same_pad(w, kernel, stride, dilation)
         madds, _ = count_node(
-            NodeSpec("probe", kind, {"conv": params}),
+            NodeSpec("probe", "Conv", {"conv": params}),
             [TensorShape(h, w, in_c)], TensorShape(oh, ow, out_c), DEFAULT_POLICY,
         )
         assert madds == mults, f"spec {i}: count {madds} != instrumented {mults} for {params}"

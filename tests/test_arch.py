@@ -119,7 +119,7 @@ def test_bneck_zeroed_weights_is_identity(rng):
     store = {}
     for name in g.nodes:
         spec = g.nodes[name]
-        if spec.kind in ("Conv", "DepthwiseConv"):
+        if spec.kind == "Conv":
             conv = spec.params["conv"]
             store[f"{name}/kernel"] = np.zeros(conv.kernel_shape(), np.float32)
             store[f"{name}/bn/scale"] = np.ones(conv.out_c, np.float32)
@@ -234,8 +234,9 @@ def test_decoder_concat_merge_node_structure():
     g = model.graph
     merge = [n for n in g.nodes if n.startswith("decoder/merge_os8/")]
     kinds = [g.nodes[n].kind for n in merge]
-    # concat, then conv, depthwise and conv, each with bn and relu
-    assert kinds == ["ConcatChannels", "Conv", "DepthwiseConv", "Conv"]
+    # concat, then conv, depthwise conv and conv, each with bn and relu
+    assert kinds == ["ConcatChannels", "Conv", "Conv", "Conv"]
+    assert [g.nodes[n].params["conv"].is_depthwise for n in merge[1:]] == [False, True, False]
     for name in merge[1:]:
         params = g.nodes[name].params
         assert (params["affine"], params["relu"], params.get("bias", False)) == (True, True, False), name

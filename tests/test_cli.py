@@ -53,6 +53,12 @@ def test_describe_headline_tap_shapes(capsys, headline_conf):
     assert "stage backbone" in out
 
 
+def test_describe_prints_a_depthwise_conv_as_conv_with_its_groups(capsys, headline_conf):
+    code, out, _ = run_cli(capsys, "describe", headline_conf)
+    assert code == 0
+    assert "\nbackbone/bneck02/dw  Conv  k=3x3 s=2 d=1 g=96 96->96 affine relu  <- " in out
+
+
 def test_describe_single_concat_skip(capsys, tmp_path):
     path = tmp_path / "one.conf"
     path.write_text(TINY + "skips=8-C\n")

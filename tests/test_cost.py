@@ -26,8 +26,7 @@ def out_shape_for(h, w, params):
 
 
 def node_madds(params, h, w, bias=False):
-    kind = "DepthwiseConv" if params.is_depthwise else "Conv"
-    spec = NodeSpec("n", kind, {"conv": params, "bias": bias})
+    spec = NodeSpec("n", "Conv", {"conv": params, "bias": bias})
     return count_node(spec, [TensorShape(h, w, params.in_c)], out_shape_for(h, w, params))
 
 
@@ -52,8 +51,8 @@ def test_relu_and_structural_nodes_are_free():
         assert (madds, params_n) == (0, 0)
     conv = ConvParams(3, 3, 1, 1, 8, 8, 8)
     for policy in (DEFAULT_POLICY, INCLUSIVE_POLICY):
-        plain = count_node(NodeSpec("n", "DepthwiseConv", {"conv": conv}), [shape], shape, policy)
-        with_relu = count_node(NodeSpec("n", "DepthwiseConv", {"conv": conv, "relu": True}), [shape], shape, policy)
+        plain = count_node(NodeSpec("n", "Conv", {"conv": conv}), [shape], shape, policy)
+        with_relu = count_node(NodeSpec("n", "Conv", {"conv": conv, "relu": True}), [shape], shape, policy)
         assert with_relu == plain
 
 

@@ -62,8 +62,10 @@ def test_every_node_kind_has_a_builder():
     base = cityscapes_config()
     cfgs = [base, ade20k_config()]
     cfgs += [apply_variant(base, "pyramid", token) for token in reference.PYRAMID_VARIANTS_B]
-    built = {spec.kind for cfg in cfgs for spec in build_model(cfg).graph.nodes.values()}
-    assert built == set(NODE_KINDS)
+    built = [spec for cfg in cfgs for spec in build_model(cfg).graph.nodes.values()]
+    assert {spec.kind for spec in built} == set(NODE_KINDS)
+    # a Conv is dense or depthwise, as its ConvParams say; both are built
+    assert {spec.params["conv"].is_depthwise for spec in built if spec.kind == "Conv"} == {False, True}
 
 
 def test_weight_shapes_in_store_order():
@@ -76,7 +78,7 @@ def test_weight_shapes_in_store_order():
     assert list(weight_shapes(conv_spec("c", 4, 6, bias=True, affine=True)).items()) == [
         ("kernel", (3, 3, 4, 6)), ("bias", (6,)), ("bn/scale", (6,)), ("bn/bias", (6,)),
     ]
-    dw = NodeSpec("d", "DepthwiseConv", {"conv": ConvParams(5, 5, 1, 1, 4, 4, 4), "affine": True})
+    dw = NodeSpec("d", "Conv", {"conv": ConvParams(5, 5, 1, 1, 4, 4, 4), "affine": True})
     assert list(weight_shapes(dw).items()) == [("kernel", (5, 5, 1, 4)), ("bn/scale", (4,)), ("bn/bias", (4,))]
     assert weight_shapes(pool_spec("p")) == {}
 
@@ -84,16 +86,16 @@ def test_weight_shapes_in_store_order():
 @pytest.mark.parametrize("flag", ["bias", "affine", "relu"])
 @pytest.mark.parametrize("value", [1, 0, "true", None, np.bool_(True)])
 def test_conv_flags_must_be_bools(flag, value):
-    for kind, conv in (("Conv", ConvParams(1, 1, 1, 1, 1, 4, 4)), ("DepthwiseConv", ConvParams(3, 3, 1, 1, 4, 4, 4))):
-        with pytest.raises(ConfigError, match=f"node n: {kind} flag '{flag}' must be a bool"):
-            NodeSpec("n", kind, {"conv": conv, flag: value})
+    for conv in (ConvParams(1, 1, 1, 1, 1, 4, 4), ConvParams(3, 3, 1, 1, 4, 4, 4)):
+        with pytest.raises(ConfigError, match=f"node n: Conv flag '{flag}' must be a bool"):
+            NodeSpec("n", "Conv", {"conv": conv, flag: value})
 
 
 def test_depthwise_conv_rejects_bias():
     conv = ConvParams(3, 3, 1, 1, 4, 4, 4)
-    with pytest.raises(ConfigError, match="node d: DepthwiseConv takes no bias"):
-        NodeSpec("d", "DepthwiseConv", {"conv": conv, "bias": True})
-    assert weight_shapes(NodeSpec("d", "DepthwiseConv", {"conv": conv, "bias": False})) == {"kernel": (3, 3, 1, 4)}
+    with pytest.raises(ConfigError, match="node d: a depthwise conv takes no bias"):
+        NodeSpec("d", "Conv", {"conv": conv, "bias": True})
+    assert weight_shapes(NodeSpec("d", "Conv", {"conv": conv, "bias": False})) == {"kernel": (3, 3, 1, 4)}
 
 
 def test_add_node_after_source():
@@ -575,7 +577,7 @@ def assert_execute_scans_each_value_once(rng, monkeypatch):
     # non-finite value; no kernel re-scans its inputs. A conv with an affine
     # scans its one array once, after the affine. Kernels scan band by band,
     # so the scanned elements are counted, not the calls.
-    checked = ("Conv", "DepthwiseConv", "AvgPoolGrid", "BilinearResize", "Add")
+    checked = ("Conv", "AvgPoolGrid", "BilinearResize", "Add")
     model = build_model(replace(ade20k_config(), input_h=256, input_w=256))
     store = init_weights(model, 1)
     x = rng.uniform(-1.0, 1.0, size=(256, 256, 3)).astype(np.float32)
@@ -668,7 +670,7 @@ def test_plan_streams_a_bottleneck_and_a_kept_member_ends_its_group(rng):
 
 BNECK_FAULTS = [
     ("b/expand", "Conv", "bn/scale"),
-    ("b/dw", "DepthwiseConv", "kernel"),
+    ("b/dw", "Conv", "kernel"),
     ("b/project", "Conv", "bn/scale"),
 ]
 
@@ -711,8 +713,8 @@ def test_a_planted_inf_names_its_conv(split_halves):
     model = build_model(replace(ade20k_config(), input_h=64, input_w=64, m=32, pyramid_bins=(1, 2)))
     graph, store = model.graph, init_weights(model, 1)
     streamed = {n for step in plan(graph, model.shapes, [model.logits]) if len(step.nodes) > 1 for n in step.nodes}
-    convs = [n for n, spec in graph.nodes.items() if spec.kind in ("Conv", "DepthwiseConv")]
-    split_dw = [n for n in streamed if graph.nodes[n].kind == "DepthwiseConv" and model.shapes[n].h >= 2]
+    convs = [n for n, spec in graph.nodes.items() if spec.kind == "Conv"]
+    split_dw = [n for n in streamed if graph.nodes[n].params["conv"].is_depthwise and model.shapes[n].h >= 2]
     x = rng.uniform(-1.0, 1.0, size=(64, 64, 3)).astype(np.float32)
     for case in range(6):
         pool = convs if case else sorted(split_dw)
