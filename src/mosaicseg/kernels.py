@@ -31,25 +31,32 @@ and the cost model:
   the lone channel's taps as its inner loop; ``mosaic selftest`` checks the
   order. So every output element goes through the same IEEE operations, in
   the same order, as whole-array evaluation, and has its bits.
-* ``streamed_convs`` runs a step whose output has at least 2 rows as two
-  halves of the last conv's output rows: the calling thread runs the top half
-  and one persistent worker thread the bottom half, one split at a time. While
-  a split runs, the process's OpenBLAS runs one thread:
-  ``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel sets the
-  count for the whole process, and the previous count is restored after the
-  worker is done. Each half computes the rows of every earlier stage that its
-  rows read, so a few rows per stage are computed twice, by the same
-  operations, and checked by the top half only. The bottom half's buffers are
-  allocated on the calling thread before the worker starts and freed there
-  after it is done, so that where glibc places the calling thread's
-  allocations does not vary with the moments at which the worker frees. The
-  worker runs under the caller's numpy error state and checks its rows with
+* ``streamed_convs``, ``bilinear_resize``, ``add_elementwise`` and
+  ``argmax_channels`` run a call whose output has at least 2 rows as two
+  halves of its output rows, through ``_in_row_halves``: the calling thread
+  runs the top half and one persistent worker thread the bottom half, one
+  split at a time. Each output row goes through the operations it goes
+  through serially. While a conv step splits, the process's OpenBLAS runs one
+  thread: ``openblas_set_num_threads_local`` of the OpenBLAS in numpy's wheel
+  sets the count for the whole process, and the previous count is restored
+  after the worker is done. Each half of a conv step computes the rows of
+  every earlier stage that its rows read, so a few rows per stage are
+  computed twice, by the same operations, and checked by the top half only;
+  each half of a resize blends the source rows its rows read into its own
+  ring. The calling thread allocates what both halves run on (rings, band
+  buffers, an Add's output, argmax's index buffer and labels) before the
+  worker starts, and frees the bottom half's buffers after it is done, so
+  that where glibc places the calling thread's allocations does not vary
+  with the moments at which the worker frees. The worker runs under the
+  caller's numpy error state. It checks its conv and resize rows with
   ``tensor.require_finite``: perfbench's tracer wraps
   ``kernels.require_finite`` and ``kernels.as_feature_map`` with one span
-  stack. The call waits for the worker, and an exception of the calling
-  thread's half takes precedence over one of the worker's. With 1 output row,
-  without that OpenBLAS symbol, or with fewer than 2 usable cores, a step runs
-  serially, through the same code over the full range.
+  stack. An Add is checked once, by the calling thread, after both halves.
+  The call waits for the worker, and an exception of the calling thread's
+  half takes precedence over one of the worker's. With 1 output row, without
+  that OpenBLAS symbol, or with fewer than 2 usable cores, a call runs
+  serially, through the same code over the full range. Pooling, concat,
+  affine and ReLU always run serially.
 * ``conv2d`` and ``depthwise_conv2d`` take an optional epilogue, a per-channel
   ``affine=(scale, bias)`` and a ``relu`` flag, applied to each band while it
   is in cache: the band is rounded to float32, widened again for the affine,
@@ -139,29 +146,60 @@ def streamed_convs(x, stages) -> np.ndarray:
         convs.append(_Conv(shape, *stage))
         shape = convs[-1].out_shape
     out = np.empty(shape, dtype=np.float32)
-    blas = _host_split_blas() if shape[0] >= 2 else None
+
+    def rings(lo, hi, check):
+        return _runs(x, convs, out, _stage_rows(convs, lo, hi), check)
+
+    _in_row_halves(shape[0], _exhaust, rings, one_blas_thread=True)
+    return out
+
+
+def _row_range(lo: int, hi: int, check) -> list:
+    return [lo, hi]
+
+
+def _in_row_halves(n_rows: int, run, part=_row_range, one_blas_thread=False):
+    """Run a kernel over its output rows 0 .. n_rows - 1 as ``run(half)``,
+    ``half`` being the list ``part(lo, hi, check)`` of what its rows lo ..
+    hi - 1 run on, ``check`` the finiteness check they use. With 2 rows or
+    more, on a host that splits (``_host_split_blas``), as two halves: the
+    calling thread runs the top half and the worker the bottom half, under
+    the caller's numpy error state. Both halves are made here, on the calling
+    thread, before the worker starts, and the bottom half is cleared here
+    once the worker is done, so its buffers are freed on this thread. With
+    ``one_blas_thread``, the process's OpenBLAS runs one thread while the
+    split runs. The call waits for the worker, and an exception of the top
+    half takes precedence over one of the bottom half. Else one call over all
+    rows (module docstring)."""
+    blas = _host_split_blas() if n_rows >= 2 else None
     if blas is None:
-        _exhaust(_runs(x, convs, out, [(0, conv.out_shape[0], 0) for conv in convs], require_finite))
-        return out
-    top, bottom = _halves(convs)
-    top = _runs(x, convs, out, top, require_finite)
+        run(part(0, n_rows, require_finite))
+        return
+    top = part(0, n_rows // 2, require_finite)
     # perfbench wraps kernels.require_finite with a single-thread span stack
-    bottom = _runs(x, convs, out, bottom, tensor.require_finite)
+    bottom = part(n_rows // 2, n_rows, tensor.require_finite)
     set_threads = blas.openblas_set_num_threads_local
     worker, one_split = _worker()
     with one_split:
-        prev = set_threads(1)  # for the whole process, the worker too
+        prev = set_threads(1) if one_blas_thread else None  # for the whole process, the worker too
         try:
-            job = worker.submit(_exhaust_on_worker, bottom, np.geterr())
+            job = worker.submit(_on_worker, run, bottom, np.geterr())
             try:
-                _exhaust(top)
+                run(top)
             finally:
                 job.exception()  # waits for the worker, raising nothing
                 bottom.clear()  # frees its buffers here, on the calling thread
             job.result()
         finally:
-            set_threads(prev)
-    return out
+            if one_blas_thread:
+                set_threads(prev)
+
+
+def _on_worker(run, half, err):
+    """``run(half)`` on the worker thread, under the caller's numpy error
+    state ``err``: the one entry point of every bottom half."""
+    with np.errstate(**err):
+        run(half)
 
 
 @functools.cache
@@ -203,24 +241,24 @@ def _host_split_blas():
     return _openblas() if cores >= 2 else None
 
 
-def _halves(convs):
-    """The (lo, hi, checked) rows of each stage that the top and the bottom
-    half of a split compute. The top half computes the first half of the last
-    conv's output rows, the bottom half the rest, and each half the rows of
-    every earlier stage that these read, found working backwards. The bottom
+def _stage_rows(convs, lo, hi):
+    """The (lo, hi, checked) rows of each stage that compute the last conv's
+    output rows lo .. hi - 1: all of them, or the top (lo 0) or the bottom
+    (hi its last) half of a split. Each half computes the rows of every
+    earlier stage that its rows read, found working backwards. The bottom
     half starts each earlier stage at a band boundary, so that no band wraps
     its ring, and the top half computes each stage up to where the bottom
     half starts, so that every row is computed. Rows that both compute are
     checked by the top half only."""
-    out_h = convs[-1].out_shape[0]
-    top, bottom = [(0, out_h // 2, 0)], [(out_h // 2, out_h, out_h // 2)]
+    if lo == 0 and hi == convs[-1].out_shape[0]:
+        return [(0, conv.out_shape[0], 0) for conv in convs]
+    rows, start, end = [(lo, hi, lo)], lo or hi, lo or hi  # the split row
     for conv, reader in zip(convs[-2::-1], convs[:0:-1]):
         s = reader.params.stride
-        lo = max(bottom[0][0] * s - reader.pad_t, 0) // conv.step * conv.step
-        hi = max(min((top[0][1] - 1) * s - reader.pad_t + reader.span, reader.h), lo)
-        top.insert(0, (0, hi, 0))
-        bottom.insert(0, (lo, conv.out_shape[0], hi))
-    return top, bottom
+        start = max(start * s - reader.pad_t, 0) // conv.step * conv.step  # the bottom half's first row
+        end = max(min((end - 1) * s - reader.pad_t + reader.span, reader.h), start)  # the top half's end
+        rows.insert(0, (0, end, 0) if lo == 0 else (start, conv.out_shape[0], end))
+    return rows
 
 
 def _runs(x, convs, out, ranges, check):
@@ -248,13 +286,6 @@ def _runs(x, convs, out, ranges, check):
 def _exhaust(rings):
     for ring in rings:
         ring.finish()
-
-
-def _exhaust_on_worker(rings, err):
-    """``_exhaust`` on the worker thread, under the caller's numpy error
-    state ``err``."""
-    with np.errstate(**err):
-        _exhaust(rings)
 
 
 class _Ring:
@@ -478,41 +509,46 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     # per-column weights, broadcast once to a source row's (out_w, c) shape
     fc = np.repeat((src_c - c0)[:, None], c, axis=1)
     fc0 = 1.0 - fc
-    # column-blended source rows, row r in slot r % 2: output rows read rows
-    # r0[i] and r1[i] <= r0[i] + 1, and r0 never decreases, so each row is
-    # blended once
-    ring = np.empty((2, out_w, c))
-    held = [-1, -1]
-    row64 = np.empty((w, c))
-    tmp = np.empty((out_w, c))
-
-    def blended(r):
-        col = ring[r % 2]
-        if held[r % 2] != r:
-            row64[...] = x[r]  # widened once, then gathered
-            np.take(row64, c0, axis=0, out=col)
-            np.take(row64, c1, axis=0, out=tmp)
-            col *= fc0
-            np.multiply(tmp, fc, out=tmp)
-            col += tmp
-            held[r % 2] = r
-        return col
-
-    # a row blend per output band, one output row at a time with scalar row
-    # weights; each band is rounded and checked while it is in cache
     out = np.empty((out_h, out_w, c), dtype=np.float32)
-    step = _band_rows(out_h, out_w * c)
-    top_buf = np.empty((step, out_w, c))
-    bot_buf = np.empty((step, out_w, c))
-    for a in range(0, out_h, step):
-        b = min(a + step, out_h)
-        top, bot = top_buf[:b - a], bot_buf[:b - a]
-        for i in range(a, b):
-            np.multiply(blended(r0[i]), fr0[i], out=top[i - a])
-            np.multiply(blended(r1[i]), fr[i], out=bot[i - a])
-        top += bot
-        out[a:b] = top
-        require_finite(out[a:b], "bilinear_resize")
+
+    def buffers(lo, hi, check):
+        # column-blended source rows, row r in slot r % 2 of the ring, with
+        # the row each slot holds: output rows read rows r0[i] and r1[i] <=
+        # r0[i] + 1, and r0 never decreases, so a half blends each row once.
+        # Then a widened source row, a gather row and the two row-blend bands
+        step = _band_rows(hi - lo, out_w * c)
+        return [lo, hi, check, np.empty((2, out_w, c)), [-1, -1], np.empty((w, c)),
+                np.empty((out_w, c)), np.empty((step, out_w, c)), np.empty((step, out_w, c))]
+
+    def blend_rows(half):
+        lo, hi, check, ring, held, row64, tmp, top_buf, bot_buf = half
+
+        def blended(r):
+            col = ring[r % 2]
+            if held[r % 2] != r:
+                row64[...] = x[r]  # widened once, then gathered
+                np.take(row64, c0, axis=0, out=col)
+                np.take(row64, c1, axis=0, out=tmp)
+                col *= fc0
+                np.multiply(tmp, fc, out=tmp)
+                col += tmp
+                held[r % 2] = r
+            return col
+
+        # a row blend per output band, one output row at a time with scalar
+        # row weights; each band is rounded and checked while it is in cache
+        step = len(top_buf)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            top, bot = top_buf[:b - a], bot_buf[:b - a]
+            for i in range(a, b):
+                np.multiply(blended(r0[i]), fr0[i], out=top[i - a])
+                np.multiply(blended(r1[i]), fr[i], out=bot[i - a])
+            top += bot
+            out[a:b] = top
+            check(out[a:b], "bilinear_resize")
+
+    _in_row_halves(out_h, blend_rows, buffers)
     return out
 
 
@@ -534,7 +570,14 @@ def add_elementwise(a, b) -> np.ndarray:
     b = as_feature_map(b, "add rhs")
     if a.shape != b.shape:
         raise ShapeError(f"add_elementwise: shape mismatch {a.shape} vs {b.shape}")
-    return require_finite(a + b, "add_elementwise")
+    out = np.empty(a.shape, dtype=np.float32)
+
+    def add_rows(half):
+        lo, hi = half
+        np.add(a[lo:hi], b[lo:hi], out=out[lo:hi])
+
+    _in_row_halves(len(out), add_rows)
+    return require_finite(out, "add_elementwise")
 
 
 def relu(x) -> np.ndarray:
@@ -580,4 +623,13 @@ def affine_channels(x, scale, bias) -> np.ndarray:
 def argmax_channels(x) -> np.ndarray:
     """Per-pixel channel argmax; ties go to the lowest channel index."""
     x = as_feature_map(x)
-    return np.argmax(x, axis=2).astype(np.int32)
+    idx = np.empty(x.shape[:2], dtype=np.intp)
+    out = np.empty(x.shape[:2], dtype=np.int32)
+
+    def argmax_rows(half):
+        lo, hi = half
+        np.argmax(x[lo:hi], axis=2, out=idx[lo:hi])
+        out[lo:hi] = idx[lo:hi]
+
+    _in_row_halves(len(out), argmax_rows)
+    return out

@@ -1,6 +1,7 @@
 import sys
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,17 +22,28 @@ def can_split() -> bool:
     return kernels._host_split_blas() is not None
 
 
+class Half(NamedTuple):
+    """A bottom half: the function that ran it and the name of its thread."""
+    run: object
+    thread: str
+
+    @property
+    def conv(self) -> bool:
+        """Whether it is the bottom half of a conv step."""
+        return self.run is kernels._exhaust
+
+
 @pytest.fixture
 def split_halves(monkeypatch):
-    """Records the name of the thread that runs each bottom half; one entry
-    per split step."""
-    halves, on_worker = [], kernels._exhaust_on_worker
+    """Records a ``Half`` for each bottom half that a kernel runs on the
+    worker, whatever the kernel: one entry per split call."""
+    halves, on_worker = [], kernels._on_worker
 
-    def recording(*args):
-        halves.append(threading.current_thread().name)
-        return on_worker(*args)
+    def recording(run, half, err):
+        halves.append(Half(run, threading.current_thread().name))
+        return on_worker(run, half, err)
 
-    monkeypatch.setattr(kernels, "_exhaust_on_worker", recording)
+    monkeypatch.setattr(kernels, "_on_worker", recording)
     return halves
 
 

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -725,6 +726,33 @@ def test_a_planted_inf_names_its_conv(split_halves):
             execute(graph, {**store, f"{node}/kernel": kernel}, x, fetch=[model.logits])
         assert str(err.value).startswith(f"node {node} ({graph.nodes[node].kind}): "), case
     assert bool(split_halves) == can_split()
+
+
+@pytest.mark.parametrize("path", ["split_every_step", "serial"])
+@pytest.mark.parametrize("kind,fn", [("Add", "add_elementwise"), ("BilinearResize", "bilinear_resize")])
+def test_non_finite_rows_of_the_bottom_half_alone_name_their_node(request, rng, monkeypatch, path, kind, fn):
+    # the last 2 of 12 input rows are read by the bottom half alone: an Add
+    # of them overflows, and a resize of an inf multiplies it by a zero
+    # weight. The worker runs under execute's numpy error state, so neither
+    # surfaces as a RuntimeWarning
+    halves = request.getfixturevalue(path)
+    g = Graph()
+    x = rng.uniform(-1.0, 1.0, size=(12, 8, 5)).astype(np.float32)
+    if kind == "Add":
+        node = g.add_node(NodeSpec("sum", "Add"), (g.source, g.source))
+        x[-2:] = 3e38
+    else:
+        node = g.add_node(NodeSpec("up", "BilinearResize", {"out_h": 23, "out_w": 9}), (g.source,))
+        x[-2:, 3] = np.inf
+        # execute checks its input, so that no node reads a non-finite value;
+        # this test lets one through, as a producer that failed to check would
+        check = graph.require_finite
+        monkeypatch.setattr(graph, "require_finite", lambda v, name: v if name == "input" else check(v, name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match=rf"^node {node} \({kind}\): {fn} produced non-finite values$"):
+            execute(g, {}, x, fetch=[node])
+    assert len(halves) == (path != "serial")
 
 
 def blas_call(restype, names):

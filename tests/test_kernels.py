@@ -1,6 +1,7 @@
 import os
 import signal
 import sys
+import threading
 import time
 import warnings
 import weakref
@@ -434,24 +435,33 @@ def test_pool_outputs_stay_in_channel_envelope(rng):
 
 
 def test_kernels_safe_across_threads(rng, split_halves):
-    # pure functions over immutable inputs: concurrent calls agree with the
-    # whole-array conv. Where steps can split, each of the 4 callers' 8 calls
-    # runs its bottom half on the one shared worker
+    # pure functions over immutable inputs: concurrent calls agree with
+    # whole-array evaluation. Where steps can split, each of the 4 callers' 8
+    # conv calls runs its bottom half on the one shared worker, and so do its
+    # resizes, Adds and argmaxes
     from concurrent.futures import ThreadPoolExecutor
     x = rand_map(rng, 16, 64, 8)
+    y = signed_zero_map(rng, 16, 64, 8)
     params = ConvParams(3, 3, 1, 1, 1, 8, 128)
     kern = rng.standard_normal(params.kernel_shape()).astype(np.float32)
-    want = oracles.conv_whole(x, kern, None, params)
+    want = (oracles.conv_whole(x, kern, None, params), oracles.resize_whole(x, 37, 29), x + y,
+            oracles.argmax_loops(x))
+
+    def call(_):
+        return (kernels.conv2d(x, kern, None, params), kernels.bilinear_resize(x, 37, 29),
+                kernels.add_elementwise(x, y), kernels.argmax_channels(x))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # many thread switches inside each split
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda _: kernels.conv2d(x, kern, None, params), range(8), timeout=120))
+            results = list(pool.map(call, range(8), timeout=120))
     finally:
         sys.setswitchinterval(interval)
     for got in results:
-        assert np.array_equal(got.view(np.int32), want.view(np.int32))
-    assert len(split_halves) == 8 * can_split() and len(set(split_halves)) <= 1
+        assert all(same_bits(*pair) for pair in zip(got, want))
+    assert sum(half.conv for half in split_halves) == 8 * can_split()
+    assert len(split_halves) == 32 * can_split() and len({half.thread for half in split_halves}) <= 1
 
 
 def test_kernels_deterministic(rng):
@@ -773,15 +783,15 @@ def test_split_bottom_half_buffers_are_freed_on_the_calling_thread(rng, monkeypa
     shape, params = STREAM_CASES["bottleneck"]
     x = signed_zero_map(rng, *shape)
     stages = [stage(rng, p, relu=i < len(params) - 1) for i, p in enumerate(params)]
-    on_worker, suspended, refs = kernels._exhaust_on_worker, [], []
+    on_worker, suspended, refs = kernels._on_worker, [], []
 
-    def watching(rings, err):
-        on_worker(rings, err)
+    def watching(run, rings, err):
+        on_worker(run, rings, err)
         suspended.extend(ring.bands.gi_frame is not None for ring in rings)
         refs.extend(weakref.ref(ring.bands) for ring in rings)
         refs.extend(weakref.ref(ring.buf) for ring in rings[1:])  # rings[0] writes the output
 
-    monkeypatch.setattr(kernels, "_exhaust_on_worker", watching)
+    monkeypatch.setattr(kernels, "_on_worker", watching)
     kernels.streamed_convs(x, stages)
     assert len(split_every_step) == 1
     assert suspended == [True] * len(params)
@@ -857,3 +867,73 @@ def test_resize_inf_in_last_source_row_raises(rng, oh):
     x[-1, 4, 2] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="bilinear_resize produced non-finite values"):
         kernels.bilinear_resize(x, oh, 10)
+
+
+# Resize, Add and argmax as two row halves, on the split and the serial path:
+# 1 output row, which never splits, halves of 1 and of 1 and 2 rows, and 13
+# rows of 1,200 columns, whose halves of 6 and 7 rows each span two bands
+
+@pytest.mark.parametrize("path", ["split_every_step", "serial"])
+@pytest.mark.parametrize("h,w,oh,ow", [
+    pytest.param(5, 7, 1, 9, id="1-row"), pytest.param(5, 7, 2, 9, id="2-rows"),
+    pytest.param(5, 7, 3, 9, id="3-rows"), pytest.param(6, 300, 13, 1200, id="13-rows-2-bands-a-half"),
+    pytest.param(40, 23, 9, 7, id="downsampling"), pytest.param(9, 7, 9, 7, id="same-size-copy"),
+])
+def test_resize_halves_match_whole_array(request, rng, path, h, w, oh, ow):
+    halves = request.getfixturevalue(path)
+    x = signed_zero_map(rng, h, w, 19)
+    if oh == 13:
+        assert kernels._band_rows(6, ow * 19) < 6
+    got = kernels.bilinear_resize(x, oh, ow)
+    assert same_bits(got, x if (oh, ow) == (h, w) else oracles.resize_whole(x, oh, ow))
+    # a same-size resize is a copy, which never splits
+    assert len(halves) == (path != "serial" and oh >= 2 and (oh, ow) != (h, w))
+
+
+@pytest.mark.parametrize("path", ["split_every_step", "serial"])
+@pytest.mark.parametrize("h", [1, 2, 3, 13])
+def test_add_halves_match_whole_array(request, rng, path, h):
+    halves = request.getfixturevalue(path)
+    a, b = signed_zero_map(rng, h, 9, 19), signed_zero_map(rng, h, 9, 19)
+    assert same_bits(kernels.add_elementwise(a, b), a + b)
+    assert len(halves) == (path != "serial" and h >= 2)
+
+
+@pytest.mark.parametrize("path", ["split_every_step", "serial"])
+@pytest.mark.parametrize("h", [1, 2, 3, 13])
+def test_argmax_halves_match_whole_array(request, rng, path, h):
+    # few distinct values, +0.0 and -0.0 among them, so most pixels tie
+    halves = request.getfixturevalue(path)
+    x = rng.choice(np.float32([-1.0, -0.0, 0.0, 1.0]), size=(h, 9, 5))
+    got = kernels.argmax_channels(x)
+    assert got.dtype == np.int32 and np.array_equal(got, oracles.argmax_loops(x))
+    assert np.array_equal(got, np.argmax(x, axis=2))
+    assert len(halves) == (path != "serial" and h >= 2)
+
+
+def test_split_resize_runs_on_buffers_of_the_calling_thread(rng, monkeypatch, split_every_step):
+    # the calling thread allocates the bottom half's ring, widened row, gather
+    # row and bands before the worker starts, and frees them before the call
+    # returns; the worker allocates no buffer of its own
+    x = signed_zero_map(rng, 40, 23, 19)
+    on_worker, empty, zeros, refs, allocs = kernels._on_worker, np.empty, np.zeros, [], []
+
+    def watching(run, half, err):
+        refs.extend(weakref.ref(a) for a in half if isinstance(a, np.ndarray))
+        on_worker(run, half, err)
+
+    def allocating(alloc):
+        def recorded(*args, **kwargs):
+            allocs.append(threading.get_ident())
+            return alloc(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(kernels, "_on_worker", watching)
+    with monkeypatch.context() as numpy_allocs:
+        numpy_allocs.setattr(np, "empty", allocating(empty))
+        numpy_allocs.setattr(np, "zeros", allocating(zeros))
+        got = kernels.bilinear_resize(x, 81, 45)
+    assert same_bits(got, oracles.resize_whole(x, 81, 45))
+    assert len(split_every_step) == 1
+    assert allocs and set(allocs) == {threading.get_ident()}
+    assert len(refs) == 5 and all(ref() is None for ref in refs)
