@@ -205,8 +205,8 @@ def _on_worker(run, half, err):
 @functools.cache
 def _worker():
     """The one persistent thread that runs the bottom half of every split
-    step, started by its first job, and the lock that admits one split at a
-    time, as a split sets the process's BLAS thread count. Made again in a
+    call, started by its first job, and the lock that admits one split at a
+    time, as a conv split sets the process's BLAS thread count. Made again in a
     forked child, which has no copy of the thread. The executor's module is
     imported with this one: imported here, mid-forward, it raised the
     Cityscapes peak RSS from 266 to 307 MB on a 2-core host."""
